@@ -15,18 +15,11 @@ from .blaschke import (
     taylor_coefficients,
 )
 from .fourier import (
-    FourierVector,
     Symbol,
     analytic_symbol,
-    backshift_analytic,
     conj_flip_symbol,
-    flip,
-    from_analytic,
-    fourier_vector,
     generator_symbol,
     materialize,
-    multiply_truncate,
-    project_analytic,
     symbol_from_laurent,
 )
 from .operators import (

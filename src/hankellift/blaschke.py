@@ -42,10 +42,6 @@ class BlaschkeProduct:
     def degree(self) -> int:
         return len(self.zeros)
 
-    @property
-    def max_zero_modulus(self) -> float:
-        return max((abs(a) for a in self.zeros), default=0.0)
-
     def text(self) -> str:
         """Canonical text form ``B[(re,im); (re,im)xmult, ...]``."""
         c = complex(self.constant)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -24,40 +25,24 @@ from .errors import (
     HankelLiftError,
     KernelNotBeurling,
     NoConvergence,
+    NonUnimodularConstant,
     TailBoundExceeded,
     UnsupportedFormat,
+    ZeroOutsideDisk,
 )
 from .fourier import materialize, symbol_from_laurent
 from .intertwine import (
     gcd_symbol_theta,
     intertwiner_from_symbol,
     lifting_symbol,
-    report_to_payload,
     solve_intertwiner_space,
     solve_toeplitz_fixed_space,
     verify_block_lift,
 )
 from .model_space import tm_basis
 from .operators import hilbert_generator, hilbert_hankel
-from .subspaces import (
-    check_invariance,
-    check_reducing,
-    invariance_payload,
-    verify_kernel_identity,
-)
+from .subspaces import check_invariance, check_reducing, verify_kernel_identity
 from .suite import run_suite
-
-COMMANDS = (
-    "gcd",
-    "intertwine",
-    "lift-check",
-    "invariance",
-    "reduce",
-    "kernel",
-    "toeplitz-fixed",
-    "hilbert",
-    "suite",
-)
 
 REFUSALS = (AmbiguousRank, TailBoundExceeded, NoConvergence, AmbiguousMatching, KernelNotBeurling)
 
@@ -134,18 +119,23 @@ def _parse_zeros(text: str) -> list:
     return [_parse_complex_pair(chunk) for chunk in text.split(";") if chunk.strip()]
 
 
+def _symbol_pairs(data) -> list:
+    """[index, re, im] triples, from a symbol file or a config file, as (index, complex)."""
+    if not isinstance(data, list) or not all(isinstance(t, list) and len(t) == 3 for t in data):
+        raise ConfigInvalid("symbol entries must be [index, re, im] triples")
+    try:
+        return [(int(k), complex(float(re), float(im))) for k, re, im in data]
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"bad symbol entry: {exc}")
+
+
 def _load_symbol_file(path: str) -> list:
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigInvalid(f"cannot read symbol file {path}: {exc}")
-    pairs = []
-    for item in data:
-        if not isinstance(item, list) or len(item) != 3:
-            raise ConfigInvalid("symbol file entries must be [index, re, im] triples")
-        pairs.append((int(item[0]), complex(float(item[1]), float(item[2]))))
-    return pairs
+    return _symbol_pairs(data)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,93 +159,60 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_FIELDS = {
-    "command": "command",
-    "zeros": "zeros",
-    "constant": "constant",
-    "symbol_coeffs": "symbol_coeffs",
-    "generator": "generator",
-    "order": "order",
-    "rank_tol": "rank_tol",
-    "residual_tol": "residual_tol",
-    "seed": "seed",
-    "out": "out",
-    "format": "format",
-}
+_CASTS = {"order": int, "seed": int, "rank_tol": float, "residual_tol": float, "out": str, "format": str}
 
 
 def load_config(argv) -> ExperimentConfig:
-    ns = build_parser().parse_args(argv)
-    values = {
-        "command": ns.command,
-        "zeros": ns.zeros,
-        "constant": ns.constant,
-        "symbol_coeffs": ns.symbol_coeffs,
-        "generator": ns.generator,
-        "order": ns.order,
-        "rank_tol": ns.rank_tol,
-        "residual_tol": ns.residual_tol,
-        "seed": ns.seed,
-        "out": ns.out,
-        "format": ns.format,
-    }
-    file_values = {}
-    if ns.config:
+    values = vars(build_parser().parse_args(argv))
+    config_path = values.pop("config")
+    if config_path:
         try:
-            with open(ns.config) as fh:
+            with open(config_path) as fh:
                 file_values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigInvalid(f"cannot read config file {ns.config}: {exc}")
+            raise ConfigInvalid(f"cannot read config file {config_path}: {exc}")
         if not isinstance(file_values, dict):
             raise ConfigInvalid("config file must hold a JSON object")
         for key in file_values:
-            if key not in _FLAG_FIELDS:
+            if key not in values:
                 raise ConfigInvalid(f"unknown config key {key!r}")
         for key, file_val in file_values.items():
-            if values.get(key) is not None and values[key] != file_val:
+            if values[key] is not None and values[key] != file_val:
                 print(
                     f"warning: config file overrides --{key.replace('_', '-')}",
                     file=sys.stderr,
                 )
             values[key] = file_val
 
-    if not values.get("command"):
+    if not values["command"]:
         raise ConfigInvalid("no command given (use --command or a config file)")
     if values["command"] not in COMMANDS:
         raise ConfigInvalid(f"unknown command {values['command']!r}")
 
     cfg = ExperimentConfig(command=values["command"])
-    raw_zeros = values.get("zeros")
-    if isinstance(raw_zeros, str):
-        cfg.zeros = _parse_zeros(raw_zeros)
-    elif isinstance(raw_zeros, list):
-        cfg.zeros = [complex(float(p[0]), float(p[1])) for p in raw_zeros]
-    raw_const = values.get("constant")
-    if isinstance(raw_const, str):
-        cfg.constant = _parse_complex_pair(raw_const)
-    elif isinstance(raw_const, list):
-        cfg.constant = complex(float(raw_const[0]), float(raw_const[1]))
-    raw_sym = values.get("symbol_coeffs")
+    raw_zeros, raw_const, raw_sym = values["zeros"], values["constant"], values["symbol_coeffs"]
+    try:
+        if isinstance(raw_zeros, str):
+            cfg.zeros = _parse_zeros(raw_zeros)
+        elif raw_zeros is not None:
+            cfg.zeros = [complex(float(p[0]), float(p[1])) for p in raw_zeros]
+        if isinstance(raw_const, str):
+            cfg.constant = _parse_complex_pair(raw_const)
+        elif raw_const is not None:
+            cfg.constant = complex(float(raw_const[0]), float(raw_const[1]))
+        for key, cast in _CASTS.items():
+            if values[key] is not None:
+                setattr(cfg, key, cast(values[key]))
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigInvalid(f"bad config value: {exc}")
     if isinstance(raw_sym, str):
         cfg.symbol_pairs = _load_symbol_file(raw_sym)
-    elif isinstance(raw_sym, list):
-        cfg.symbol_pairs = [
-            (int(t[0]), complex(float(t[1]), float(t[2]))) for t in raw_sym
-        ]
-    if values.get("generator") is not None:
+    elif raw_sym is not None:
+        cfg.symbol_pairs = _symbol_pairs(raw_sym)
+    if values["generator"] is not None:
         if values["generator"] != "hilbert":
             raise ConfigInvalid(f"unknown generator {values['generator']!r}")
         cfg.generator = values["generator"]
-    for key, cast in (("order", int), ("seed", int)):
-        if values.get(key) is not None:
-            cfg.__setattr__(key, cast(values[key]))
-    for key in ("rank_tol", "residual_tol"):
-        if values.get(key) is not None:
-            cfg.__setattr__(key, float(values[key]))
-    if values.get("out") is not None:
-        cfg.out = str(values["out"])
-    if values.get("format") is not None:
-        cfg.format = str(values["format"])
 
     if cfg.order < 1:
         raise ConfigInvalid("order must be >= 1")
@@ -267,9 +224,12 @@ def load_config(argv) -> ExperimentConfig:
 
 
 def _require_u(cfg: ExperimentConfig):
-    if not cfg.zeros and cfg.command not in ("hilbert", "suite"):
+    if not cfg.zeros:
         raise ConfigInvalid(f"command {cfg.command!r} needs --zeros")
-    return make_blaschke(cfg.zeros, cfg.constant)
+    try:
+        return make_blaschke(cfg.zeros, cfg.constant)
+    except (ZeroOutsideDisk, NonUnimodularConstant) as exc:
+        raise ConfigInvalid(str(exc))
 
 
 def _require_symbol(cfg: ExperimentConfig, default_window: int):
@@ -282,14 +242,193 @@ def _require_symbol(cfg: ExperimentConfig, default_window: int):
     )
 
 
+def _check(name, passed, value, tolerance) -> dict:
+    return {"name": name, "passed": passed, "value": value, "tolerance": tolerance}
+
+
 def _condition_check(cond, prefix="") -> dict:
+    check = _check(prefix + cond.name, cond.holds, cond.residual, cond.tolerance)
+    check["decisive"] = cond.decisive
+    return check
+
+
+def _gap_pair(gap) -> list:
+    """The singular values on either side of the rank cut (None for no value above)."""
+    return [gap.sv_below, None if math.isinf(gap.sv_above) else gap.sv_above]
+
+
+def _invariance_payload(rep) -> dict:
+    """Verdicts, residuals, tolerances and tested range of an InvarianceReport."""
     return {
-        "name": prefix + cond.name,
-        "passed": cond.holds,
-        "value": cond.residual,
-        "tolerance": cond.tolerance,
-        "decisive": cond.decisive,
+        "u": rep.u.text(),
+        "symbol_window": rep.symbol_window,
+        "cond1": rep.invariant.holds,
+        "cond2": rep.kernel.holds,
+        "cond3": rep.symbol.holds,
+        "residuals": [c.residual for c in rep.conditions],
+        "N": rep.order,
+        "tol": [c.tolerance for c in rep.conditions],
+        "k_range": list(rep.k_range),
+        "decisive": rep.decisive,
+        "agreement": rep.agreement,
     }
+
+
+# Each runner maps a config to the report's (payload, checks).
+
+
+def _run_gcd(cfg):
+    u = _require_u(cfg)
+    theta = gcd_symbol_theta(u)
+    payload = {
+        "u": u.text(),
+        "theta": theta.text(),
+        "theta_degree": theta.degree,
+        "theta_zeros": [[z.real, z.imag] for z in theta.zeros],
+    }
+    return payload, [_check("gcd nontrivial", theta.degree > 0, float(theta.degree), 0.0)]
+
+
+def _run_intertwine(cfg):
+    rep = solve_intertwiner_space(_require_u(cfg), cfg.order, rank_tol=cfg.rank_tol)
+    lift = rep.lift_check
+    payload = {
+        "u": rep.u.text(),
+        "theta": rep.theta.text(),
+        "theta_degree": rep.theta.degree,
+        "solution_dim": rep.solution_dim,
+        "residual_max": rep.residual_max,
+        "norm_X": lift.norm_x if lift else 0.0,
+        "norm_H": lift.norm_h if lift else 0.0,
+        "gap": _gap_pair(rep.gap),
+        "hankel_structure_dev": rep.hankel_structure_dev,
+        "gcd_solution_residual": rep.gcd_solution_residual,
+        "order": rep.order,
+    }
+    exists = (rep.solution_dim > 0) == (rep.theta.degree > 0)
+    return payload, [_check("existence dichotomy", exists, float(rep.solution_dim), 0.0)]
+
+
+def _run_lift_check(cfg):
+    u = _require_u(cfg)
+    basis = tm_basis(u, cfg.order)
+    if cfg.symbol_pairs is not None or cfg.generator is not None:
+        phi = _require_symbol(cfg, 2 * basis.order)
+    else:
+        phi = lifting_symbol(u, 2 * basis.order)
+        if phi is None:
+            return {"u": u.text(), "gcd_trivial": True}, []
+    x = intertwiner_from_symbol(basis, phi)
+    rec = verify_block_lift(x, phi, u, cfg.order)
+    payload = {
+        "u": u.text(),
+        "top_left_residual": rec.top_left_residual,
+        "off_diagonal_max": rec.off_diagonal_max,
+        "norm_H": rec.norm_h,
+        "norm_X": rec.norm_x,
+        "norm_gap": rec.norm_gap,
+        "order": rec.order,
+    }
+    tol = cfg.residual_tol
+    passed = rec.off_diagonal_max <= tol and rec.norm_gap <= tol
+    return payload, [_check("block lift", passed, max(rec.off_diagonal_max, rec.norm_gap), tol)]
+
+
+def _run_invariance(cfg):
+    u = _require_u(cfg)
+    rep = check_invariance(u, _require_symbol(cfg, cfg.order // 2), cfg.order, cfg.residual_tol)
+    return _invariance_payload(rep), [_condition_check(c) for c in rep.conditions]
+
+
+def _run_reduce(cfg):
+    u = _require_u(cfg)
+    rep = check_reducing(u, _require_symbol(cfg, cfg.order // 2), cfg.order, cfg.residual_tol)
+    payload = {
+        "u": rep.u.text(),
+        "theta": rep.theta.text(),
+        "forward": _invariance_payload(rep.forward),
+        "adjoint": _invariance_payload(rep.adjoint),
+        "verdicts": list(rep.verdicts),
+        "agreement": rep.agreement,
+        "decisive": rep.decisive,
+    }
+    checks = (
+        [_condition_check(c, "forward ") for c in rep.forward.conditions]
+        + [_condition_check(c, "adjoint ") for c in rep.adjoint.conditions]
+        + [_condition_check(rep.gcd_membership)]
+    )
+    return payload, checks
+
+
+def _run_kernel(cfg):
+    rep = verify_kernel_identity(_require_u(cfg), cfg.order)
+    payload = {
+        "u": rep.u.text(),
+        "inclusion_residual": rep.inclusion_residual,
+        "inclusion_tolerance": rep.inclusion_tolerance,
+        "restricted_sigma_min": rep.restricted_sigma_min,
+        "k_range": list(rep.k_range),
+        "order": rep.order,
+    }
+    sigma = rep.restricted_sigma_min
+    checks = [
+        _check("kernel inclusion", rep.inclusion_holds, rep.inclusion_residual, rep.inclusion_tolerance),
+        _check("no kernel in model space", sigma > 0.05, sigma, 0.05),
+    ]
+    return payload, checks
+
+
+def _run_toeplitz_fixed(cfg):
+    rep = solve_toeplitz_fixed_space(_require_u(cfg), cfg.order, rank_tol=cfg.rank_tol)
+    payload = {
+        "u": rep.u.text(),
+        "solution_dim": rep.solution_dim,
+        "gap": _gap_pair(rep.gap),
+        "order": rep.order,
+    }
+    dim = rep.solution_dim
+    return payload, [_check("fixed-point triviality", dim == 0, float(dim), 0.0)]
+
+
+def _run_hilbert(cfg):
+    svals = np.linalg.svd(hilbert_hankel(cfg.order).entries, compute_uv=False)
+    norm, smallest = float(svals[0]), float(svals[-1])
+    payload = {"order": cfg.order, "norm": norm, "min_singular_value": smallest}
+    checks = [
+        _check("norm below pi", bool(norm < np.pi), norm, float(np.pi)),
+        _check("positive definite section", bool(smallest > 0.0), smallest, 0.0),
+    ]
+    return payload, checks
+
+
+def _run_suite(cfg):
+    results = run_suite()
+    payload = {
+        "criteria": [
+            {"index": r.index, "name": r.name, "passed": r.passed, "details": r.details}
+            for r in results
+        ],
+        "all_passed": all(r.passed for r in results),
+    }
+    checks = [
+        _check(f"criterion {r.index}: {r.name}", r.passed, 1.0 if r.passed else 0.0, 1.0)
+        for r in results
+    ]
+    return payload, checks
+
+
+RUNNERS = {
+    "gcd": _run_gcd,
+    "intertwine": _run_intertwine,
+    "lift-check": _run_lift_check,
+    "invariance": _run_invariance,
+    "reduce": _run_reduce,
+    "kernel": _run_kernel,
+    "toeplitz-fixed": _run_toeplitz_fixed,
+    "hilbert": _run_hilbert,
+    "suite": _run_suite,
+}
+COMMANDS = tuple(RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
@@ -299,179 +438,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     checks: list = []
     error = None
     try:
-        if cfg.command == "gcd":
-            u = _require_u(cfg)
-            theta = gcd_symbol_theta(u)
-            payload = {
-                "u": u.text(),
-                "theta": theta.text(),
-                "theta_degree": theta.degree,
-                "theta_zeros": [[z.real, z.imag] for z in theta.zeros],
-            }
-            checks = [
-                {
-                    "name": "gcd nontrivial",
-                    "passed": theta.degree > 0,
-                    "value": float(theta.degree),
-                    "tolerance": 0.0,
-                }
-            ]
-        elif cfg.command == "intertwine":
-            u = _require_u(cfg)
-            rep = solve_intertwiner_space(u, cfg.order, rank_tol=cfg.rank_tol)
-            payload = report_to_payload(rep)
-            checks = [
-                {
-                    "name": "existence dichotomy",
-                    "passed": (rep.solution_dim > 0) == (rep.theta.degree > 0),
-                    "value": float(rep.solution_dim),
-                    "tolerance": 0.0,
-                }
-            ]
-        elif cfg.command == "lift-check":
-            u = _require_u(cfg)
-            basis = tm_basis(u, cfg.order)
-            if cfg.symbol_pairs is not None or cfg.generator is not None:
-                phi = _require_symbol(cfg, 2 * basis.order)
-            else:
-                phi = lifting_symbol(u, 2 * basis.order)
-                if phi is None:
-                    payload = {"u": u.text(), "gcd_trivial": True}
-                    checks = []
-                    raise _Done()
-            x = intertwiner_from_symbol(basis, phi)
-            rec = verify_block_lift(x, phi, u, cfg.order)
-            payload = {
-                "u": u.text(),
-                "top_left_residual": rec.top_left_residual,
-                "off_diagonal_max": rec.off_diagonal_max,
-                "norm_H": rec.norm_h,
-                "norm_X": rec.norm_x,
-                "norm_gap": rec.norm_gap,
-                "order": rec.order,
-            }
-            checks = [
-                {
-                    "name": "block lift",
-                    "passed": rec.off_diagonal_max <= cfg.residual_tol
-                    and rec.norm_gap <= cfg.residual_tol,
-                    "value": max(rec.off_diagonal_max, rec.norm_gap),
-                    "tolerance": cfg.residual_tol,
-                }
-            ]
-        elif cfg.command == "invariance":
-            u = _require_u(cfg)
-            phi = _require_symbol(cfg, cfg.order // 2)
-            rep = check_invariance(u, phi, cfg.order, cfg.residual_tol)
-            payload = invariance_payload(rep)
-            checks = [_condition_check(c) for c in rep.conditions]
-        elif cfg.command == "reduce":
-            u = _require_u(cfg)
-            phi = _require_symbol(cfg, cfg.order // 2)
-            rep = check_reducing(u, phi, cfg.order, cfg.residual_tol)
-            payload = {
-                "u": u.text(),
-                "theta": rep.theta.text(),
-                "forward": invariance_payload(rep.forward),
-                "adjoint": invariance_payload(rep.adjoint),
-                "verdicts": list(rep.verdicts),
-                "agreement": rep.agreement,
-                "decisive": rep.decisive,
-            }
-            checks = (
-                [_condition_check(c, "forward ") for c in rep.forward.conditions]
-                + [_condition_check(c, "adjoint ") for c in rep.adjoint.conditions]
-                + [_condition_check(rep.gcd_membership)]
-            )
-        elif cfg.command == "kernel":
-            u = _require_u(cfg)
-            rep = verify_kernel_identity(u, cfg.order)
-            payload = {
-                "u": rep.u.text(),
-                "inclusion_residual": rep.inclusion_residual,
-                "inclusion_tolerance": rep.inclusion_tolerance,
-                "restricted_sigma_min": rep.restricted_sigma_min,
-                "k_range": list(rep.k_range),
-                "order": rep.order,
-            }
-            checks = [
-                {
-                    "name": "kernel inclusion",
-                    "passed": rep.inclusion_holds,
-                    "value": rep.inclusion_residual,
-                    "tolerance": rep.inclusion_tolerance,
-                },
-                {
-                    "name": "no kernel in model space",
-                    "passed": rep.restricted_sigma_min > 0.05,
-                    "value": rep.restricted_sigma_min,
-                    "tolerance": 0.05,
-                },
-            ]
-        elif cfg.command == "toeplitz-fixed":
-            u = _require_u(cfg)
-            rep = solve_toeplitz_fixed_space(u, cfg.order, rank_tol=cfg.rank_tol)
-            payload = {
-                "u": rep.u.text(),
-                "solution_dim": rep.solution_dim,
-                "gap": [rep.gap.sv_below, None if rep.gap.sv_above == float("inf") else rep.gap.sv_above],
-                "order": rep.order,
-            }
-            checks = [
-                {
-                    "name": "fixed-point triviality",
-                    "passed": rep.solution_dim == 0,
-                    "value": float(rep.solution_dim),
-                    "tolerance": 0.0,
-                }
-            ]
-        elif cfg.command == "hilbert":
-            gamma = hilbert_hankel(cfg.order)
-            svals = np.linalg.svd(gamma.entries, compute_uv=False)
-            payload = {
-                "order": cfg.order,
-                "norm": float(svals[0]),
-                "min_singular_value": float(svals[-1]),
-            }
-            checks = [
-                {
-                    "name": "norm below pi",
-                    "passed": bool(svals[0] < np.pi),
-                    "value": float(svals[0]),
-                    "tolerance": float(np.pi),
-                },
-                {
-                    "name": "positive definite section",
-                    "passed": bool(svals[-1] > 0.0),
-                    "value": float(svals[-1]),
-                    "tolerance": 0.0,
-                },
-            ]
-        elif cfg.command == "suite":
-            results = run_suite()
-            payload = {
-                "criteria": [
-                    {
-                        "index": r.index,
-                        "name": r.name,
-                        "passed": r.passed,
-                        "details": r.details,
-                    }
-                    for r in results
-                ],
-                "all_passed": all(r.passed for r in results),
-            }
-            checks = [
-                {
-                    "name": f"criterion {r.index}: {r.name}",
-                    "passed": r.passed,
-                    "value": 1.0 if r.passed else 0.0,
-                    "tolerance": 1.0,
-                }
-                for r in results
-            ]
-    except _Done:
-        pass
+        payload, checks = RUNNERS[cfg.command](cfg)
     except REFUSALS as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
     return Report(
@@ -482,10 +449,6 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         error=error,
         wall_time=time.perf_counter() - t0,
     )
-
-
-class _Done(Exception):
-    """Early exit from the dispatch body with payload already set."""
 
 
 # check names -> the classical statement they exercise, for the text format

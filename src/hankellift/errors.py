@@ -25,10 +25,6 @@ class GeneratorNotMaterialized(HankelLiftError):
     """Operation requires a Laurent-form symbol; materialize the generator first."""
 
 
-class NotAnalytic(HankelLiftError):
-    """Input vector has nonzero coefficients at negative indices."""
-
-
 class WindowTooSmall(HankelLiftError):
     """Coefficient window is too small for an exact (or certified) result."""
 

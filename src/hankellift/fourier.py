@@ -1,10 +1,9 @@
-"""Truncated bilateral Fourier arithmetic on the unit circle.
+"""Truncated Fourier symbols on the unit circle.
 
-FourierVector realizes an L^2(T) element at truncation order N as the
-coefficient window -N..N; Symbol realizes an L-infinity multiplier either
-as a Laurent polynomial on a finite window or as a coefficient generator
-rule.  All operations are pure; inexact ones return an explicit leakage or
-tail bound next to the value.
+Symbol realizes an L-infinity multiplier either as a Laurent polynomial on
+a finite window or as a coefficient generator rule.  All operations are
+pure; a symbol materialized from an underlying function carries its
+certified l1 tail next to the coefficients.
 """
 
 from __future__ import annotations
@@ -14,52 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    GeneratorNotMaterialized,
-    InsufficientCoefficients,
-    NotAnalytic,
-    WindowTooSmall,
-)
-
-
-@dataclass(frozen=True)
-class FourierVector:
-    """Coefficients c_{-N}..c_N stored left to right; index k sits at k + order."""
-
-    coefficients: np.ndarray
-    order: int
-
-    def coeff(self, k: int) -> complex:
-        if abs(k) > self.order:
-            return 0.0 + 0.0j
-        return complex(self.coefficients[k + self.order])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coefficients))
-
-    def analytic_part(self) -> np.ndarray:
-        """Coefficients at indices 0..order."""
-        return np.array(self.coefficients[self.order :])
-
-
-def fourier_vector(pairs, order: int) -> FourierVector:
-    """Build from an iterable of (index, coefficient) pairs."""
-    c = np.zeros(2 * order + 1, dtype=complex)
-    for k, v in pairs:
-        if abs(k) > order:
-            raise ValueError(f"index {k} outside window -{order}..{order}")
-        c[k + order] = v
-    return FourierVector(coefficients=c, order=order)
-
-
-def from_analytic(coeffs, order: int) -> FourierVector:
-    """Embed analytic coefficients c_0..c_M (M <= order) at indices 0..M."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.size > order + 1:
-        raise ValueError("analytic data longer than the window")
-    c = np.zeros(2 * order + 1, dtype=complex)
-    c[order : order + coeffs.size] = coeffs
-    return FourierVector(coefficients=c, order=order)
+from .errors import GeneratorNotMaterialized, InsufficientCoefficients
 
 
 @dataclass(frozen=True)
@@ -70,7 +24,7 @@ class Symbol:
     symbol IS that Laurent polynomial); ``tail_l1`` carries the certified
     l1 mass by which it differs from an underlying function it was
     materialized from (0 for genuine polynomials).  Generator form carries
-    the rule k -> coefficient for k >= k_min and a sup bound on |coeff|.
+    the rule k -> coefficient for k >= k_min.
     """
 
     laurent: Optional[np.ndarray] = None
@@ -78,8 +32,6 @@ class Symbol:
     generator: Optional[Callable[[int], complex]] = field(default=None, repr=False)
     k_min: int = 0
     k_max: Optional[int] = None
-    coeff_bound: Optional[float] = None
-    sup_bound: Optional[float] = None
     tail_l1: float = 0.0
     name: str = ""
 
@@ -120,28 +72,23 @@ def symbol_from_laurent(pairs, window=None, tail_l1=0.0, name="") -> Symbol:
     return Symbol(laurent=c, window=window, tail_l1=float(tail_l1), name=name)
 
 
-def analytic_symbol(coeffs, tail_l1=0.0, sup_bound=None, name="") -> Symbol:
+def analytic_symbol(coeffs, tail_l1=0.0, name="") -> Symbol:
     """Laurent symbol with coefficients c_0..c_M at indices 0..M."""
     coeffs = np.asarray(coeffs, dtype=complex)
     window = max(coeffs.size - 1, 0)
     c = np.zeros(2 * window + 1, dtype=complex)
     c[window : window + coeffs.size] = coeffs
-    return Symbol(
-        laurent=c, window=window, tail_l1=float(tail_l1), sup_bound=sup_bound, name=name
-    )
+    return Symbol(laurent=c, window=window, tail_l1=float(tail_l1), name=name)
 
 
-def generator_symbol(rule, k_min=0, k_max=None, coeff_bound=None, name="") -> Symbol:
-    return Symbol(
-        generator=rule, k_min=k_min, k_max=k_max, coeff_bound=coeff_bound, name=name
-    )
+def generator_symbol(rule, k_min=0, k_max=None, name="") -> Symbol:
+    return Symbol(generator=rule, k_min=k_min, k_max=k_max, name=name)
 
 
 def materialize(phi: Symbol, window: int) -> Symbol:
     """Instantiate a generator symbol as the Laurent polynomial on -window..window.
 
-    The result is exact as a Laurent symbol in its own right (tail_l1 = 0);
-    the generator's coefficient bound is retained as metadata.
+    The result is exact as a Laurent symbol in its own right (tail_l1 = 0).
     """
     if phi.is_laurent:
         if phi.window <= window:
@@ -151,61 +98,10 @@ def materialize(phi: Symbol, window: int) -> Symbol:
     c = np.zeros(2 * window + 1, dtype=complex)
     for k in range(max(phi.k_min, -window), window + 1):
         c[k + window] = phi.coefficient(k)
-    return Symbol(
-        laurent=c,
-        window=window,
-        coeff_bound=phi.coeff_bound,
-        sup_bound=phi.sup_bound,
-        name=phi.name,
-    )
-
-
-def project_analytic(f: FourierVector) -> FourierVector:
-    """Orthogonal projection onto the analytic (nonnegative-index) part."""
-    c = np.array(f.coefficients)
-    c[: f.order] = 0.0
-    return FourierVector(coefficients=c, order=f.order)
-
-
-def flip(f: FourierVector) -> FourierVector:
-    """The unitary index negation c_k -> c_{-k} (composition with conjugation of z)."""
-    return FourierVector(coefficients=np.array(f.coefficients[::-1]), order=f.order)
+    return Symbol(laurent=c, window=window, name=phi.name)
 
 
 def conj_flip_symbol(phi: Symbol) -> Symbol:
     """Conjugate every coefficient in place (the composite conjugate-of-flip law)."""
     phi.require_laurent()
     return replace(phi, laurent=np.conj(phi.laurent))
-
-
-def backshift_analytic(f: FourierVector) -> FourierVector:
-    """Drop c_0 and move c_{k+1} to index k, for analytic input only."""
-    if np.any(f.coefficients[: f.order] != 0):
-        raise NotAnalytic("backshift requires zero coefficients at negative indices")
-    c = np.zeros_like(f.coefficients)
-    c[f.order : -1] = f.coefficients[f.order + 1 :]
-    return FourierVector(coefficients=c, order=f.order)
-
-
-def multiply_truncate(phi: Symbol, f: FourierVector, n_out: int):
-    """Laurent convolution phi * f restricted to -n_out..n_out.
-
-    Returns (vector, leakage) where leakage is the l2 mass of the exact
-    convolution that falls outside the output window.  Requires the input
-    window to cover n_out + window(phi) so the kept coefficients are exact.
-    """
-    phi.require_laurent()
-    m = phi.window
-    if f.order < n_out + m:
-        raise WindowTooSmall(
-            f"input order {f.order} < {n_out} + {m}; output would be inexact"
-        )
-    full = np.convolve(phi.laurent, f.coefficients)
-    # full covers indices -(m + f.order) .. (m + f.order)
-    center = m + f.order
-    kept = full[center - n_out : center + n_out + 1]
-    leaked = np.concatenate([full[: center - n_out], full[center + n_out + 1 :]])
-    return (
-        FourierVector(coefficients=np.array(kept), order=n_out),
-        float(np.linalg.norm(leaked)),
-    )

@@ -8,13 +8,12 @@ form check of the lift, and the fixed-point triviality S* X S = X.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, conj_reflect, evaluate, gcd_inner, taylor_coefficients
+from .blaschke import BlaschkeProduct, conj_reflect, gcd_inner, taylor_coefficients
 from .errors import OrderMismatch
 from .fourier import Symbol, analytic_symbol
 from .model_space import ModelSpaceBasis, beurling_basis, compress, compressed_shift, tm_basis
@@ -42,19 +41,13 @@ def gcd_symbol_theta(u: BlaschkeProduct, tol=None) -> BlaschkeProduct:
 def lifting_symbol(u: BlaschkeProduct, n: int) -> Optional[Symbol]:
     """The analytic symbol (theta - theta(0))/z on window n, or None if theta = 1.
 
-    The sup of the symbol on the circle is at most 1 + |theta(0)|, which is
-    recorded on the returned Symbol.
+    The sup of the symbol on the circle is at most 1 + |theta(0)|.
     """
     theta = gcd_symbol_theta(u)
     if theta.degree == 0:
         return None
     coeffs, tail = taylor_coefficients(theta, n + 1)
-    return analytic_symbol(
-        coeffs[1:],
-        tail_l1=tail,
-        sup_bound=1.0 + abs(evaluate(theta, 0.0)),
-        name="backshifted gcd",
-    )
+    return analytic_symbol(coeffs[1:], tail_l1=tail, name="backshifted gcd")
 
 
 def iterated_lifting_symbol(u: BlaschkeProduct, n: int, j: int) -> Optional[Symbol]:
@@ -173,8 +166,7 @@ def solve_intertwiner_space(u: BlaschkeProduct, n: int, rank_tol=RANK_TOL_FACTOR
     s = compressed_shift(basis).entries
     eye = np.eye(d)
     a = np.kron(eye, s.conj().T) - np.kron(s.T, eye)
-    s_max = float(np.linalg.svd(a, compute_uv=False)[0])
-    kernel, gap = null_space(a, rank_tol * max(s_max, 1.0))
+    kernel, gap = null_space(a, rank_tol)
     solutions = [kernel[:, j].reshape(d, d, order="F") for j in range(kernel.shape[1])]
     residuals = [
         float(operator_norm(s.conj().T @ x - x @ s)) for x in solutions
@@ -228,29 +220,7 @@ def solve_toeplitz_fixed_space(u: BlaschkeProduct, n: int, rank_tol=RANK_TOL_FAC
     d = basis.dim
     s = compressed_shift(basis).entries
     a = np.kron(s.T, s.conj().T) - np.eye(d * d)
-    s_max = float(np.linalg.svd(a, compute_uv=False)[0])
-    kernel, gap = null_space(a, rank_tol * max(s_max, 1.0))
+    kernel, gap = null_space(a, rank_tol)
     return ToeplitzFixedReport(
         u=u, solution_dim=kernel.shape[1], gap=gap, order=basis.order
     )
-
-
-def report_to_payload(report: IntertwinerReport) -> dict:
-    """Flatten an IntertwinerReport to its JSON payload shape."""
-    sv_above = report.gap.sv_above
-    return {
-        "u": report.u.text(),
-        "theta": report.theta.text(),
-        "theta_degree": report.theta.degree,
-        "solution_dim": report.solution_dim,
-        "residual_max": report.residual_max,
-        "norm_X": report.lift_check.norm_x if report.lift_check else 0.0,
-        "norm_H": report.lift_check.norm_h if report.lift_check else 0.0,
-        "gap": [
-            report.gap.sv_below,
-            None if math.isinf(sv_above) else sv_above,
-        ],
-        "hankel_structure_dev": report.hankel_structure_dev,
-        "gcd_solution_residual": report.gcd_solution_residual,
-        "order": report.order,
-    }

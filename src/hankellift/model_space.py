@@ -40,9 +40,6 @@ class ModelSpaceBasis:
     def dim(self) -> int:
         return self.columns.shape[1]
 
-    def tag(self) -> str:
-        return f"Q({self.u.text()})"
-
 
 @dataclass(frozen=True)
 class BeurlingBasis:
@@ -145,9 +142,7 @@ def beurling_basis(u: BlaschkeProduct, n: int) -> BeurlingBasis:
 def compressed_shift(basis: ModelSpaceBasis) -> OperatorMatrix:
     """S = B* (shift section) B, the model operator on Q_u."""
     s = basis.columns.conj().T @ shift_matrix(basis.order) @ basis.columns
-    return OperatorMatrix(
-        entries=s, domain=basis.tag(), codomain=basis.tag(), order=basis.order
-    )
+    return OperatorMatrix(entries=s, order=basis.order)
 
 
 def compress(m, basis: ModelSpaceBasis) -> OperatorMatrix:
@@ -161,30 +156,7 @@ def compress(m, basis: ModelSpaceBasis) -> OperatorMatrix:
         raise OrderMismatch(
             f"operator shape {a.shape} does not match the section of order {basis.order}"
         )
-    return OperatorMatrix(
-        entries=basis.columns.conj().T @ a @ basis.columns,
-        domain=basis.tag(),
-        codomain=basis.tag(),
-        order=basis.order,
-    )
-
-
-def projector(columns) -> np.ndarray:
-    """Orthogonal projector B B* onto the span of orthonormal columns."""
-    b = columns.columns if hasattr(columns, "columns") else np.asarray(columns)
-    return b @ b.conj().T
-
-
-def basis_to_jsonable(basis) -> dict:
-    """Basis columns as row-major [re, im] pairs next to the defining product."""
-    cols = basis.columns
-    return {
-        "u": basis.u.text(),
-        "order": basis.order,
-        "tail_bound": basis.tail_bound,
-        "shape": list(cols.shape),
-        "columns": [[float(v.real), float(v.imag)] for v in cols.reshape(-1)],
-    }
+    return OperatorMatrix(entries=basis.columns.conj().T @ a @ basis.columns, order=basis.order)
 
 
 def subspace_intersection_dim(b1, b2, tol=1e-6) -> int:

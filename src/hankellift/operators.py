@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -27,13 +26,10 @@ RANK_TOL_FACTOR = 1e-8
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex matrix tagged with its spaces and truncation order."""
+    """Dense complex matrix tagged with its truncation order."""
 
     entries: np.ndarray
-    domain: str
-    codomain: str
     order: int
-    structure: Optional[str] = None  # "hankel" | "toeplitz" | None
 
     @property
     def shape(self):
@@ -42,10 +38,6 @@ class OperatorMatrix:
 
 def _entries(m) -> np.ndarray:
     return m.entries if isinstance(m, OperatorMatrix) else np.asarray(m, dtype=complex)
-
-
-def analytic_tag(n: int) -> str:
-    return f"H2(order={n})"
 
 
 def hankel_matrix(phi: Symbol, n: int) -> OperatorMatrix:
@@ -57,13 +49,7 @@ def hankel_matrix(phi: Symbol, n: int) -> OperatorMatrix:
             f"hankel section of order {n} needs coefficients 0..{2 * n}"
         )
     idx = np.arange(n + 1)
-    return OperatorMatrix(
-        entries=c[idx[:, None] + idx[None, :]],
-        domain=analytic_tag(n),
-        codomain=analytic_tag(n),
-        order=n,
-        structure="hankel",
-    )
+    return OperatorMatrix(entries=c[idx[:, None] + idx[None, :]], order=n)
 
 
 def toeplitz_matrix(phi: Symbol, n: int) -> OperatorMatrix:
@@ -75,20 +61,12 @@ def toeplitz_matrix(phi: Symbol, n: int) -> OperatorMatrix:
             f"toeplitz section of order {n} needs coefficients -{n}..{n}"
         )
     idx = np.arange(n + 1)
-    return OperatorMatrix(
-        entries=c[idx[:, None] - idx[None, :] + n],
-        domain=analytic_tag(n),
-        codomain=analytic_tag(n),
-        order=n,
-        structure="toeplitz",
-    )
+    return OperatorMatrix(entries=c[idx[:, None] - idx[None, :] + n], order=n)
 
 
 def hilbert_generator() -> Symbol:
     """The Hilbert Hankel coefficients k -> 1/(k+1), exposed only as a generator."""
-    return generator_symbol(
-        lambda k: 1.0 / (k + 1), k_min=0, coeff_bound=1.0, name="hilbert"
-    )
+    return generator_symbol(lambda k: 1.0 / (k + 1), k_min=0, name="hilbert")
 
 
 def hilbert_hankel(n: int) -> OperatorMatrix:
@@ -97,11 +75,7 @@ def hilbert_hankel(n: int) -> OperatorMatrix:
         raise ValueError("order must be >= 0")
     idx = np.arange(n + 1, dtype=float)
     return OperatorMatrix(
-        entries=(1.0 / (idx[:, None] + idx[None, :] + 1.0)).astype(complex),
-        domain=analytic_tag(n),
-        codomain=analytic_tag(n),
-        order=n,
-        structure="hankel",
+        entries=(1.0 / (idx[:, None] + idx[None, :] + 1.0)).astype(complex), order=n
     )
 
 
@@ -152,21 +126,19 @@ class RankGapReport:
     gap: float
 
 
-def null_space(m, rank_tol=None):
+def null_space(m, rank_tol=RANK_TOL_FACTOR):
     """Orthonormal basis of the numerical kernel plus a gap report.
 
-    ``rank_tol`` is the absolute singular-value cut (default
-    RANK_TOL_FACTOR * largest singular value).  Raises AmbiguousRank when
-    the values around the cut are separated by less than GAP_FACTOR.
+    ``rank_tol`` is relative: the singular-value cut is
+    ``rank_tol * max(largest singular value, 1)``.  Raises AmbiguousRank
+    when the values around the cut are separated by less than GAP_FACTOR.
     """
     a = _entries(m)
     n_cols = a.shape[1]
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     s_full = np.concatenate([s, np.zeros(n_cols - s.size)])
     s_max = float(s_full[0]) if s_full.size else 0.0
-    cut = float(rank_tol) if rank_tol is not None else RANK_TOL_FACTOR * s_max
-    if cut <= 0.0:
-        cut = RANK_TOL_FACTOR * max(s_max, 1.0)
+    cut = rank_tol * max(s_max, 1.0)
     below = s_full[s_full <= cut]
     above = s_full[s_full > cut]
     dim = below.size
@@ -186,27 +158,6 @@ def null_space(m, rank_tol=None):
         )
     basis = vh[n_cols - dim :, :].conj().T if dim else np.zeros((n_cols, 0), dtype=complex)
     return basis, report
-
-
-def matrix_to_jsonable(m: OperatorMatrix) -> dict:
-    """Row-major [re, im] serialization for report embedding."""
-    a = m.entries
-    return {
-        "domain": m.domain,
-        "codomain": m.codomain,
-        "order": m.order,
-        "structure": m.structure,
-        "shape": list(a.shape),
-        "entries": [[float(v.real), float(v.imag)] for v in a.reshape(-1)],
-    }
-
-
-def singular_values_csv(m) -> str:
-    """CSV export of the singular-value list, largest first."""
-    s = np.linalg.svd(_entries(m), compute_uv=False)
-    lines = ["index,singular_value"]
-    lines += [f"{i},{v:.17g}" for i, v in enumerate(s)]
-    return "\n".join(lines) + "\n"
 
 
 def hankel_intertwine_residual(phi: Symbol, n: int) -> float:

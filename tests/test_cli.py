@@ -37,6 +37,36 @@ def test_config_file_unknown_key(tmp_path):
         cli.load_config(["--config", str(path)])
 
 
+@pytest.mark.parametrize(
+    "config,symbol",
+    [
+        ({"command": "gcd", "zeros": [[0.5]]}, None),
+        ({"command": "gcd", "zeros": "0.5,0", "order": "abc"}, None),
+        ({"command": "invariance", "zeros": "0,0;0,0"}, [["a", 1, 2]]),
+    ],
+)
+def test_bad_config_values_exit_2(tmp_path, capsys, config, symbol):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(config))
+    argv = ["--config", str(path)]
+    if symbol is not None:
+        sym = tmp_path / "sym.json"
+        sym.write_text(json.dumps(symbol))
+        argv += ["--symbol-coeffs", str(sym)]
+    assert cli.main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--zeros", "0.99,0"], ["--zeros", "0.5,0", "--constant", "2,0"]],
+)
+def test_bad_blaschke_data_is_a_config_error(capsys, flags):
+    # exit 3 is reserved for numerical refusals
+    assert cli.main(["--command", "gcd"] + flags) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_invalid_order_rejected():
     with pytest.raises(ConfigInvalid):
         cli.load_config(["--command", "gcd", "--order", "0"])

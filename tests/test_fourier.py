@@ -1,69 +1,9 @@
 import numpy as np
 import pytest
 
-from hankellift.errors import GeneratorNotMaterialized, NotAnalytic, WindowTooSmall
-from hankellift.fourier import (
-    FourierVector,
-    analytic_symbol,
-    backshift_analytic,
-    conj_flip_symbol,
-    flip,
-    fourier_vector,
-    from_analytic,
-    materialize,
-    multiply_truncate,
-    project_analytic,
-    symbol_from_laurent,
-)
+from hankellift.errors import GeneratorNotMaterialized
+from hankellift.fourier import analytic_symbol, conj_flip_symbol, materialize, symbol_from_laurent
 from hankellift.operators import hilbert_generator
-
-
-def random_vector(seed, order):
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal(2 * order + 1) + 1j * rng.standard_normal(2 * order + 1)
-    return FourierVector(coefficients=c, order=order)
-
-
-def test_project_kills_antianalytic():
-    f = fourier_vector([(-1, 1.0)], 4)
-    assert project_analytic(f).norm() == 0.0
-
-
-def test_project_fixes_analytic():
-    f = from_analytic([1.0, 2.0, 3.0], 4)
-    assert np.array_equal(project_analytic(f).coefficients, f.coefficients)
-
-
-def test_project_norm_drop():
-    f = fourier_vector([(-1, 1.0), (2, 3.0)], 4)
-    g = project_analytic(f)
-    assert abs(f.norm() - np.sqrt(10)) < 1e-15
-    assert abs(g.norm() - 3.0) < 1e-15
-    assert g.coeff(2) == 3.0 and g.coeff(-1) == 0.0
-
-
-def test_project_idempotent_and_self_adjoint():
-    for seed in range(5):
-        f, g = random_vector(seed, 12), random_vector(seed + 100, 12)
-        pf = project_analytic(f)
-        assert np.array_equal(project_analytic(pf).coefficients, pf.coefficients)
-        lhs = np.vdot(project_analytic(g).coefficients, f.coefficients)
-        rhs = np.vdot(g.coefficients, project_analytic(f).coefficients)
-        assert abs(lhs - rhs) < 1e-14
-
-
-def test_flip_moves_indices():
-    f = fourier_vector([(1, 1.0)], 3)
-    assert flip(f).coeff(-1) == 1.0 and flip(f).coeff(1) == 0.0
-
-
-def test_flip_involution_and_unitarity():
-    for seed in range(5):
-        f, g = random_vector(seed, 9), random_vector(seed + 50, 9)
-        assert np.array_equal(flip(flip(f)).coefficients, f.coefficients)
-        lhs = np.vdot(flip(g).coefficients, flip(f).coefficients)
-        rhs = np.vdot(g.coefficients, f.coefficients)
-        assert abs(lhs - rhs) < 1e-14
 
 
 def conjugate_function(pairs):
@@ -101,104 +41,12 @@ def test_conj_flip_requires_laurent():
         conj_flip_symbol(hilbert_generator())
 
 
-def test_backshift_monomial():
-    f = from_analytic([0.0, 0.0, 1.0], 5)
-    assert backshift_analytic(f).coeff(1) == 1.0
-
-
-def test_backshift_kills_constants():
-    f = from_analytic([1.0], 5)
-    assert backshift_analytic(f).norm() == 0.0
-
-
-def test_backshift_coefficients():
-    f = from_analytic([1.0, 2.0, 3.0], 5)
-    g = backshift_analytic(f)
-    assert [g.coeff(k) for k in range(3)] == [2.0, 3.0, 0.0]
-
-
-def test_backshift_rejects_antianalytic():
-    with pytest.raises(NotAnalytic):
-        backshift_analytic(fourier_vector([(-1, 1.0)], 3))
-
-
-def test_backshift_inverts_shift():
-    z = symbol_from_laurent([(1, 1.0)])
-    for seed in range(4):
-        rng = np.random.default_rng(seed)
-        f = from_analytic(rng.standard_normal(6) + 1j * rng.standard_normal(6), 12)
-        shifted, leak = multiply_truncate(z, f, 11)
-        assert leak < 1e-15
-        back = backshift_analytic(shifted)
-        assert np.allclose(
-            [back.coeff(k) for k in range(6)],
-            [f.coeff(k) for k in range(6)],
-            atol=1e-15,
-        )
-
-
-def test_multiply_identity_symbol():
-    phi = symbol_from_laurent([(0, 1.0)])
-    f = random_vector(3, 6)
-    out, leak = multiply_truncate(phi, f, 6)
-    assert np.array_equal(out.coefficients, f.coefficients)
-    assert leak == 0.0
-
-
-def test_multiply_shift():
-    phi = symbol_from_laurent([(1, 1.0)])
-    f = from_analytic([1.0], 4)
-    out, _ = multiply_truncate(phi, f, 3)
-    assert out.coeff(1) == 1.0 and out.norm() == 1.0
-
-
-def test_multiply_real_part_symbol():
-    phi = symbol_from_laurent([(1, 1.0), (-1, 1.0)])  # z + conj(z)
-    f = fourier_vector([(1, 1.0)], 4)
-    out, _ = multiply_truncate(phi, f, 3)
-    assert out.coeff(2) == 1.0 and out.coeff(0) == 1.0 and abs(out.norm() - np.sqrt(2)) < 1e-15
-
-
-def brute_force_convolution(phi_pairs, f, n_out):
-    out = np.zeros(2 * n_out + 1, dtype=complex)
-    for k in range(-n_out, n_out + 1):
-        total = 0.0 + 0.0j
-        for j, v in phi_pairs:
-            total += v * f.coeff(k - j)
-        out[k + n_out] = total
-    return out
-
-
-def test_multiply_matches_brute_force_oracle():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        m = int(rng.integers(1, 5))
-        pairs = [(k, complex(*rng.standard_normal(2))) for k in range(-m, m + 1)]
-        phi = symbol_from_laurent(pairs)
-        f = random_vector(int(rng.integers(0, 1000)), 20)
-        n_out = 20 - m
-        out, leak = multiply_truncate(phi, f, n_out)
-        assert np.allclose(out.coefficients, brute_force_convolution(pairs, f, n_out), atol=1e-12)
-        # leakage equals the mass of the full convolution outside the window
-        full = np.convolve(phi.laurent, f.coefficients)
-        center = m + 20
-        outside = np.concatenate([full[: center - n_out], full[center + n_out + 1 :]])
-        assert abs(leak - np.linalg.norm(outside)) < 1e-12
-
-
-def test_multiply_window_too_small():
-    phi = symbol_from_laurent([(2, 1.0)])
-    with pytest.raises(WindowTooSmall):
-        multiply_truncate(phi, random_vector(0, 5), 4)
-
-
 def test_materialize_hilbert():
     phi = materialize(hilbert_generator(), 5)
     assert phi.is_laurent and phi.window == 5
     for k in range(-5, 6):
         expected = 1.0 / (k + 1) if k >= 0 else 0.0
         assert phi.coefficient(k) == expected
-    assert phi.coeff_bound == 1.0
 
 
 def test_analytic_symbol_layout():

@@ -4,25 +4,15 @@ import numpy as np
 import pytest
 
 from hankellift.errors import AmbiguousRank, InsufficientCoefficients, NoConvergence
-from hankellift.fourier import (
-    conj_flip_symbol,
-    flip,
-    from_analytic,
-    multiply_truncate,
-    project_analytic,
-    symbol_from_laurent,
-)
-from hankellift.fourier import generator_symbol
+from hankellift.fourier import conj_flip_symbol, generator_symbol, symbol_from_laurent
 from hankellift.operators import (
     hankel_intertwine_residual,
     hankel_matrix,
     hilbert_generator,
     hilbert_hankel,
-    matrix_to_jsonable,
     null_space,
     operator_norm,
     shift_matrix,
-    singular_values_csv,
     toeplitz_matrix,
 )
 
@@ -40,7 +30,6 @@ def test_hankel_hilbert_small_section():
         [[1, 1 / 2, 1 / 3], [1 / 2, 1 / 3, 1 / 4], [1 / 3, 1 / 4, 1 / 5]]
     )
     assert np.allclose(h.entries, expected, atol=0)
-    assert h.structure == "hankel"
 
 
 def test_hankel_ignores_antianalytic_part():
@@ -55,11 +44,13 @@ def test_hankel_shift_symbol():
 
 def hankel_column_oracle(phi, n, col):
     """Apply the definition to the monomial z^col: P_+ (phi * J z^col)."""
-    monomial = np.zeros(col + 1, dtype=complex)
-    monomial[col] = 1.0
-    f = from_analytic(monomial, n + phi.window + col)
-    product, _ = multiply_truncate(phi, flip(f), n)
-    return project_analytic(product).analytic_part()
+    flipped = np.zeros(col + 1, dtype=complex)
+    flipped[0] = 1.0  # J z^col = z^(-col), stored on indices -col..0
+    product = np.convolve(phi.laurent, flipped)  # indices -(window + col)..window
+    analytic = product[phi.window + col :]  # P_+: indices 0..window
+    column = np.zeros(n + 1, dtype=complex)
+    column[: min(n + 1, analytic.size)] = analytic[: n + 1]
+    return column
 
 
 def test_hankel_matches_definition_on_monomials():
@@ -162,6 +153,14 @@ def test_null_space_contract():
         assert np.linalg.norm(a @ basis) <= report.cut * (1 + operator_norm(a))
 
 
+def test_null_space_cut_is_relative():
+    # the cut scales with the largest singular value, but never below rank_tol
+    _, report = null_space(np.diag([1e6, 1e-6]).astype(complex), rank_tol=1e-8)
+    assert report.dim == 1 and report.cut == pytest.approx(1e-2, rel=1e-12)
+    _, report = null_space(np.diag([0.5, 0.0]).astype(complex))
+    assert report.dim == 1 and report.cut == 1e-8
+
+
 def test_null_space_ambiguous_rank():
     with pytest.raises(AmbiguousRank):
         null_space(np.diag([1.0, 1e-7]).astype(complex), rank_tol=1e-8)
@@ -225,18 +224,3 @@ def test_power_iteration_cap():
     a = rng.standard_normal((8, 8)).astype(complex)
     with pytest.raises(NoConvergence):
         _power_norm(a, max_iter=1)
-
-
-def test_matrix_json_export():
-    h = hankel_matrix(hilbert_generator(), 1)
-    data = matrix_to_jsonable(h)
-    assert data["shape"] == [2, 2] and data["structure"] == "hankel"
-    assert data["entries"][1] == [0.5, 0.0]  # row-major (0, 1) entry
-
-
-def test_singular_values_csv():
-    text = singular_values_csv(hilbert_hankel(1))
-    lines = text.strip().splitlines()
-    assert lines[0] == "index,singular_value"
-    assert len(lines) == 3
-    assert float(lines[1].split(",")[1]) > float(lines[2].split(",")[1])
