@@ -16,6 +16,9 @@ from hankellift.suite import CriterionResult
 
 GOLDEN = Path(__file__).parent / "golden"
 SYMBOL_Z = str(GOLDEN / "symbol-z.json")  # the symbol z: [[1, 1.0, 0.0]]
+SYMBOL_OFF = str(GOLDEN / "symbol-off-model.json")  # 0.3+0.1i, (-0.2+0.4i) z, 0.1 z^2
+# random_symbol_in_model(gcd_symbol_theta(u), 3, 32) for u with zeros 0.2 +- 0.3i
+SYMBOL_IN = str(GOLDEN / "symbol-in-model.json")
 
 # the suite command runs on these fixed results, not on the real battery
 FIXED_SUITE = [
@@ -49,6 +52,36 @@ CASES = {
         3,
     ),
     "hilbert-128": (["--command", "hilbert", "--order", "128"], 0),
+    # the basis tail forces the order from 16 up to 256
+    "intertwine-doubling": (
+        ["--command", "intertwine", "--zeros", "0.8,0;0,-0.8;0.75,0", "--order", "16"],
+        0,
+    ),
+    "lift-check-doubling": (
+        ["--command", "lift-check", "--zeros", "0.3,0.6;0.3,-0.6;0.8,0", "--order", "16"],
+        0,
+    ),
+    "toeplitz-fixed-doubling": (
+        ["--command", "toeplitz-fixed", "--zeros", "0.8,0;0,-0.7", "--order", "16"],
+        0,
+    ),
+    "kernel-three-zeros": (["--command", "kernel", "--zeros", "0.3,0.5;0.3,-0.5;0.6,0"], 0),
+    "invariance-off-model": (
+        ["--command", "invariance", "--zeros", "0.3,0.5;0.3,-0.5;0.2,0", "--symbol-coeffs", SYMBOL_OFF],
+        0,
+    ),
+    "reduce-off-model": (
+        ["--command", "reduce", "--zeros", "0.3,0.5;0.3,-0.5", "--symbol-coeffs", SYMBOL_OFF],
+        0,
+    ),
+    "invariance-in-model": (
+        ["--command", "invariance", "--zeros", "0.2,0.3;0.2,-0.3", "--symbol-coeffs", SYMBOL_IN],
+        0,
+    ),
+    "reduce-in-model": (
+        ["--command", "reduce", "--zeros", "0.2,0.3;0.2,-0.3", "--symbol-coeffs", SYMBOL_IN],
+        0,
+    ),
     "suite-fixed-results": (["--command", "suite"], 1),
 }
 
