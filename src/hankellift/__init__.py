@@ -45,7 +45,6 @@ from .intertwine import (
     IntertwinerReport,
     gcd_symbol_theta,
     intertwiner_from_symbol,
-    iterated_lifting_symbol,
     lifting_symbol,
     solve_intertwiner_space,
     solve_toeplitz_fixed_space,

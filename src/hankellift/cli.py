@@ -119,6 +119,13 @@ def _parse_zeros(text: str) -> list:
     return [_parse_complex_pair(chunk) for chunk in text.split(";") if chunk.strip()]
 
 
+def _config_pair(p) -> complex:
+    """A config-file [re, im] pair; any other length is refused, not truncated."""
+    if not isinstance(p, list) or len(p) != 2:
+        raise ConfigInvalid(f"expected a [re, im] pair, got {p!r}")
+    return complex(float(p[0]), float(p[1]))
+
+
 def _symbol_pairs(data) -> list:
     """[index, re, im] triples, from a symbol file or a config file, as (index, complex)."""
     if not isinstance(data, list) or not all(isinstance(t, list) and len(t) == 3 for t in data):
@@ -195,15 +202,15 @@ def load_config(argv) -> ExperimentConfig:
         if isinstance(raw_zeros, str):
             cfg.zeros = _parse_zeros(raw_zeros)
         elif raw_zeros is not None:
-            cfg.zeros = [complex(float(p[0]), float(p[1])) for p in raw_zeros]
+            cfg.zeros = [_config_pair(p) for p in raw_zeros]
         if isinstance(raw_const, str):
             cfg.constant = _parse_complex_pair(raw_const)
         elif raw_const is not None:
-            cfg.constant = complex(float(raw_const[0]), float(raw_const[1]))
+            cfg.constant = _config_pair(raw_const)
         for key, cast in _CASTS.items():
             if values[key] is not None:
                 setattr(cfg, key, cast(values[key]))
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad config value: {exc}")
     if isinstance(raw_sym, str):
         cfg.symbol_pairs = _load_symbol_file(raw_sym)
@@ -319,7 +326,7 @@ def _run_lift_check(cfg):
         if phi is None:
             return {"u": u.text(), "gcd_trivial": True}, []
     x = intertwiner_from_symbol(basis, phi)
-    rec = verify_block_lift(x, phi, u, cfg.order)
+    rec = verify_block_lift(x, phi, basis)
     payload = {
         "u": u.text(),
         "top_left_residual": rec.top_left_residual,

@@ -29,10 +29,6 @@ class WindowTooSmall(HankelLiftError):
     """Coefficient window is too small for an exact (or certified) result."""
 
 
-class InsufficientCoefficients(HankelLiftError):
-    """Symbol cannot provide all coefficients required by the requested order."""
-
-
 class NoConvergence(HankelLiftError):
     """Iterative norm computation hit its iteration cap."""
 

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GeneratorNotMaterialized, InsufficientCoefficients
+from .errors import GeneratorNotMaterialized
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,6 @@ class Symbol:
     window: Optional[int] = None
     generator: Optional[Callable[[int], complex]] = field(default=None, repr=False)
     k_min: int = 0
-    k_max: Optional[int] = None
     tail_l1: float = 0.0
     name: str = ""
 
@@ -46,10 +45,6 @@ class Symbol:
             return complex(self.laurent[k + self.window])
         if k < self.k_min:
             return 0.0 + 0.0j
-        if self.k_max is not None and k > self.k_max:
-            raise InsufficientCoefficients(
-                f"generator '{self.name}' provides coefficients only up to {self.k_max}"
-            )
         return complex(self.generator(k))
 
     def require_laurent(self) -> None:
@@ -81,8 +76,8 @@ def analytic_symbol(coeffs, tail_l1=0.0, name="") -> Symbol:
     return Symbol(laurent=c, window=window, tail_l1=float(tail_l1), name=name)
 
 
-def generator_symbol(rule, k_min=0, k_max=None, name="") -> Symbol:
-    return Symbol(generator=rule, k_min=k_min, k_max=k_max, name=name)
+def generator_symbol(rule, k_min=0, name="") -> Symbol:
+    return Symbol(generator=rule, k_min=k_min, name=name)
 
 
 def materialize(phi: Symbol, window: int) -> Symbol:

@@ -27,31 +27,21 @@ from .operators import (
 )
 
 
-def gcd_symbol_theta(u: BlaschkeProduct, tol=None) -> BlaschkeProduct:
+def gcd_symbol_theta(u: BlaschkeProduct) -> BlaschkeProduct:
     """theta = gcd of u with its coefficient-conjugated reflection.
 
     Degree 0 means no nonzero intertwiner of the compressed shift with its
     adjoint exists on Q_u.
     """
-    if tol is None:
-        return gcd_inner(u, conj_reflect(u))
-    return gcd_inner(u, conj_reflect(u), tol)
+    return gcd_inner(u, conj_reflect(u))
 
 
-def lifting_symbol(u: BlaschkeProduct, n: int) -> Optional[Symbol]:
-    """The analytic symbol (theta - theta(0))/z on window n, or None if theta = 1.
+def lifting_symbol(u: BlaschkeProduct, n: int, j: int = 1) -> Optional[Symbol]:
+    """theta backshifted j times, on window n, or None if theta = 1.
 
-    The sup of the symbol on the circle is at most 1 + |theta(0)|.
+    At j = 1 this is (theta - theta(0))/z, whose sup on the circle is at most
+    1 + |theta(0)|; the symbols for j < deg(theta) are distinct and nonzero.
     """
-    theta = gcd_symbol_theta(u)
-    if theta.degree == 0:
-        return None
-    coeffs, tail = taylor_coefficients(theta, n + 1)
-    return analytic_symbol(coeffs[1:], tail_l1=tail, name="backshifted gcd")
-
-
-def iterated_lifting_symbol(u: BlaschkeProduct, n: int, j: int) -> Optional[Symbol]:
-    """Backshift applied j times to theta; distinct nonzero symbols for j < deg(theta)."""
     theta = gcd_symbol_theta(u)
     if theta.degree == 0:
         return None
@@ -59,12 +49,8 @@ def iterated_lifting_symbol(u: BlaschkeProduct, n: int, j: int) -> Optional[Symb
     return analytic_symbol(coeffs[j:], tail_l1=tail, name=f"backshift^{j} gcd")
 
 
-def intertwiner_from_symbol(u_or_basis, phi: Symbol, n: int = None) -> OperatorMatrix:
-    """X = H_phi compressed to Q_u (accepts a prebuilt basis to pin the order)."""
-    if isinstance(u_or_basis, ModelSpaceBasis):
-        basis = u_or_basis
-    else:
-        basis = tm_basis(u_or_basis, n)
+def intertwiner_from_symbol(basis: ModelSpaceBasis, phi: Symbol) -> OperatorMatrix:
+    """X = H_phi compressed to Q_u at the order of the basis."""
     phi.require_laurent()
     if phi.window > 2 * basis.order:
         raise OrderMismatch(
@@ -91,9 +77,8 @@ class BlockLiftRecord:
         return max(self.block_qb_norm, self.block_bq_norm, self.block_bb_norm)
 
 
-def verify_block_lift(x, phi: Symbol, u: BlaschkeProduct, n: int) -> BlockLiftRecord:
+def verify_block_lift(x, phi: Symbol, basis: ModelSpaceBasis) -> BlockLiftRecord:
     """Change basis to [Q_u | u H^2] and compare H_phi with diag(X, 0)."""
-    basis = tm_basis(u, n)
     x_entries = x.entries if isinstance(x, OperatorMatrix) else np.asarray(x, dtype=complex)
     if isinstance(x, OperatorMatrix) and x.order != basis.order:
         raise OrderMismatch(f"X built at order {x.order}, basis at {basis.order}")
@@ -101,7 +86,7 @@ def verify_block_lift(x, phi: Symbol, u: BlaschkeProduct, n: int) -> BlockLiftRe
         raise OrderMismatch(f"X shape {x_entries.shape} does not match dim {basis.dim}")
     h = hankel_matrix(phi, basis.order).entries
     bq = basis.columns
-    bb = beurling_basis(u, basis.order).columns
+    bb = beurling_basis(basis.u, basis.order).columns
     g_qq = bq.conj().T @ h @ bq
     g_qb = bq.conj().T @ h @ bb
     g_bq = bb.conj().T @ h @ bq
@@ -189,7 +174,7 @@ def solve_intertwiner_space(u: BlaschkeProduct, n: int, rank_tol=RANK_TOL_FACTOR
             gcd_residual = float(np.linalg.norm(vec - proj) / scale)
         else:
             gcd_residual = float(scale)
-        lift_check = verify_block_lift(x_gcd, phi, u, basis.order)
+        lift_check = verify_block_lift(x_gcd, phi, basis)
     return IntertwinerReport(
         u=u,
         theta=theta,

@@ -34,11 +34,15 @@ class ModelSpaceBasis:
     columns: np.ndarray  # (order+1, degree)
     u: BlaschkeProduct
     order: int
-    tail_bound: float
+    column_tails: np.ndarray  # certified l1 tail of each column beyond the order
 
     @property
     def dim(self) -> int:
         return self.columns.shape[1]
+
+    @property
+    def tail_bound(self) -> float:
+        return float(self.column_tails.max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -46,10 +50,7 @@ class BeurlingBasis:
     """Orthonormal columns spanning the truncated shifts of u at the given order."""
 
     columns: np.ndarray  # (order+1, order+1-degree)
-    u: BlaschkeProduct
-    order: int
-    tail_bound: float
-    column_tails: np.ndarray  # certified l1 tail of each raw shifted column
+    shifts: np.ndarray  # the raw truncated shifts u*z^k the columns orthonormalize
 
 
 def tm_column_tails(u: BlaschkeProduct, order: int) -> np.ndarray:
@@ -67,26 +68,18 @@ def tm_column_tails(u: BlaschkeProduct, order: int) -> np.ndarray:
     )
 
 
-def _tm_tail(u: BlaschkeProduct, order: int) -> float:
-    return float(tm_column_tails(u, order).max(initial=0.0))
-
-
-def resolve_order(u: BlaschkeProduct, n: int, tail_target=TAIL_TARGET, order_cap=ORDER_CAP) -> int:
-    """Smallest doubling of n at which the certified basis tail meets the target."""
+def tm_basis(u: BlaschkeProduct, n: int, tail_target=TAIL_TARGET, order_cap=ORDER_CAP) -> ModelSpaceBasis:
+    """Takenaka-Malmquist basis of Q_u, auto-raising the order for the tail target."""
     order = n
-    while _tm_tail(u, order) > tail_target and order < order_cap:
+    tails = tm_column_tails(u, order)
+    while tails.max(initial=0.0) > tail_target and order < order_cap:
         order = min(2 * order, order_cap)
-    if _tm_tail(u, order) > tail_target:
+        tails = tm_column_tails(u, order)
+    if tails.max(initial=0.0) > tail_target:
         raise TailBoundExceeded(
             f"basis tail at the order cap {order_cap} still exceeds {tail_target:.1e} "
             f"for {u.text()}"
         )
-    return order
-
-
-def tm_basis(u: BlaschkeProduct, n: int, tail_target=TAIL_TARGET, order_cap=ORDER_CAP) -> ModelSpaceBasis:
-    """Takenaka-Malmquist basis of Q_u, auto-raising the order for the tail target."""
-    order = resolve_order(u, n, tail_target, order_cap)
     d = u.degree
     cols = np.zeros((order + 1, d), dtype=complex)
     partial = np.zeros(order + 1, dtype=complex)
@@ -100,15 +93,18 @@ def tm_basis(u: BlaschkeProduct, n: int, tail_target=TAIL_TARGET, order_cap=ORDE
         factor[0] = -a
         factor[1:] = (1.0 - abs(a) ** 2) * np.conj(a) ** powers[:-1]
         partial = np.convolve(partial, factor)[: order + 1]
-    return ModelSpaceBasis(columns=cols, u=u, order=order, tail_bound=_tm_tail(u, order))
+    return ModelSpaceBasis(columns=cols, u=u, order=order, column_tails=tails)
 
 
 def shifted_inner_columns(u: BlaschkeProduct, n: int, k_max=None):
-    """Raw truncated expansions of u*z^k for k = 0..k_max, with per-column tails."""
+    """Raw truncated expansions of u*z^k for k = 0..k_max, with per-column tails.
+
+    k_max = -1 gives no columns: at order deg(u) - 1, Q_u fills the section.
+    """
     d = u.degree
     if k_max is None:
         k_max = n - d
-    if k_max < 0:
+    if k_max < -1:
         raise ValueError("order too small for any shifted column")
     coeffs, _ = taylor_coefficients(u, n)
     cols = np.zeros((n + 1, k_max + 1), dtype=complex)
@@ -126,17 +122,11 @@ def beurling_basis(u: BlaschkeProduct, n: int) -> BeurlingBasis:
     perturbs the Gram matrix by tail products, so a QR pass (with positive
     diagonal) restores orthonormality without changing the span.
     """
-    raw, tails = shifted_inner_columns(u, n)
+    raw, _ = shifted_inner_columns(u, n)
     q, r = np.linalg.qr(raw)
     signs = np.sign(np.real(np.diag(r)))
     signs[signs == 0] = 1.0
-    return BeurlingBasis(
-        columns=q * signs,
-        u=u,
-        order=n,
-        tail_bound=float(tails.max(initial=0.0)),
-        column_tails=tails,
-    )
+    return BeurlingBasis(columns=q * signs, shifts=raw)
 
 
 def compressed_shift(basis: ModelSpaceBasis) -> OperatorMatrix:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousRank, InsufficientCoefficients, NoConvergence
+from .errors import AmbiguousRank, NoConvergence
 from .fourier import Symbol, generator_symbol
 
 # Full SVD is used up to this dimension; beyond it a power iteration
@@ -42,24 +42,14 @@ def _entries(m) -> np.ndarray:
 
 def hankel_matrix(phi: Symbol, n: int) -> OperatorMatrix:
     """Section with entry(m, k) = phi_hat(m + k); depends only on P_+ phi."""
-    try:
-        c = np.array([phi.coefficient(k) for k in range(2 * n + 1)])
-    except InsufficientCoefficients:
-        raise InsufficientCoefficients(
-            f"hankel section of order {n} needs coefficients 0..{2 * n}"
-        )
+    c = np.array([phi.coefficient(k) for k in range(2 * n + 1)])
     idx = np.arange(n + 1)
     return OperatorMatrix(entries=c[idx[:, None] + idx[None, :]], order=n)
 
 
 def toeplitz_matrix(phi: Symbol, n: int) -> OperatorMatrix:
     """Section with entry(m, k) = phi_hat(m - k)."""
-    try:
-        c = np.array([phi.coefficient(k) for k in range(-n, n + 1)])
-    except InsufficientCoefficients:
-        raise InsufficientCoefficients(
-            f"toeplitz section of order {n} needs coefficients -{n}..{n}"
-        )
+    c = np.array([phi.coefficient(k) for k in range(-n, n + 1)])
     idx = np.arange(n + 1)
     return OperatorMatrix(entries=c[idx[:, None] - idx[None, :] + n], order=n)
 

@@ -29,7 +29,6 @@ from .model_space import (
     beurling_basis,
     shifted_inner_columns,
     tm_basis,
-    tm_column_tails,
 )
 from .operators import (
     RANK_TOL_FACTOR,
@@ -107,44 +106,54 @@ class InvarianceReport:
 
 def check_invariance(u: BlaschkeProduct, phi: Symbol, n: int, residual_tol=RESIDUAL_TOL) -> InvarianceReport:
     """Evaluate the three invariance conditions for u H^2 under H_phi at order n."""
+    (report,) = _invariance_reports(u, (phi,), n, residual_tol)
+    return report
+
+
+def _invariance_reports(u: BlaschkeProduct, phis, n: int, residual_tol) -> list:
+    """check_invariance for each symbol, on one build of the bases that depend on u."""
     if u.degree < 1:
         raise ValueError("u must be nonconstant")
-    phi.require_laurent()
-    w = phi.window
-    if n < 4 * u.degree + w:
-        raise WindowTooSmall(
-            f"order {n} < 4*deg(u) + window = {4 * u.degree + w}"
-        )
-    h = hankel_matrix(phi, n).entries
-    k_max = n - u.degree - w
-    cols, _ = shifted_inner_columns(u, n, k_max=k_max)
-    images = h @ cols
-    kernel_res = float(np.linalg.norm(images, axis=0).max())
+    for phi in phis:
+        phi.require_laurent()
+        if n < 4 * u.degree + phi.window:
+            raise WindowTooSmall(
+                f"order {n} < 4*deg(u) + window = {4 * u.degree + phi.window}"
+            )
     bb = beurling_basis(u, n)
-    outside = images - bb.columns @ (bb.columns.conj().T @ images)
-    invariant_res = float(np.linalg.norm(outside, axis=0).max())
-
     basis_refl = tm_basis(conj_reflect(u), n, tail_target=math.inf)
-    phi_plus = np.array([phi.coefficient(k) for k in range(n + 1)])
-    symbol_res = float(
-        np.linalg.norm(
-            phi_plus - basis_refl.columns @ (basis_refl.columns.conj().T @ phi_plus)
-        )
-    )
+    reports = []
+    for phi in phis:
+        h = hankel_matrix(phi, n).entries
+        k_max = n - u.degree - phi.window
+        images = h @ bb.shifts[:, : k_max + 1]
+        kernel_res = float(np.linalg.norm(images, axis=0).max())
+        outside = images - bb.columns @ (bb.columns.conj().T @ images)
+        invariant_res = float(np.linalg.norm(outside, axis=0).max())
 
-    acc_action = phi.tail_l1
-    acc_symbol = phi.tail_l1 + 2.0 * basis_refl.tail_bound * float(np.linalg.norm(phi_plus))
-    tol_action = residual_tol + TAIL_SAFETY * acc_action
-    tol_symbol = residual_tol + TAIL_SAFETY * acc_symbol
-    return InvarianceReport(
-        u=u,
-        symbol_window=w,
-        order=n,
-        k_range=(0, k_max),
-        invariant=_condition("invariant", invariant_res, tol_action),
-        kernel=_condition("kernel", kernel_res, tol_action),
-        symbol=_condition("symbol", symbol_res, tol_symbol),
-    )
+        phi_plus = np.array([phi.coefficient(k) for k in range(n + 1)])
+        symbol_res = float(
+            np.linalg.norm(
+                phi_plus - basis_refl.columns @ (basis_refl.columns.conj().T @ phi_plus)
+            )
+        )
+
+        acc_action = phi.tail_l1
+        acc_symbol = phi.tail_l1 + 2.0 * basis_refl.tail_bound * float(np.linalg.norm(phi_plus))
+        tol_action = residual_tol + TAIL_SAFETY * acc_action
+        tol_symbol = residual_tol + TAIL_SAFETY * acc_symbol
+        reports.append(
+            InvarianceReport(
+                u=u,
+                symbol_window=phi.window,
+                order=n,
+                k_range=(0, k_max),
+                invariant=_condition("invariant", invariant_res, tol_action),
+                kernel=_condition("kernel", kernel_res, tol_action),
+                symbol=_condition("symbol", symbol_res, tol_symbol),
+            )
+        )
+    return reports
 
 
 @dataclass(frozen=True)
@@ -180,8 +189,7 @@ def check_reducing(u: BlaschkeProduct, phi: Symbol, n: int, residual_tol=RESIDUA
     The adjoint path uses the fact that the adjoint of a Hankel operator is
     the Hankel operator of the coefficient-conjugated symbol.
     """
-    forward = check_invariance(u, phi, n, residual_tol)
-    adjoint = check_invariance(u, conj_flip_symbol(phi), n, residual_tol)
+    forward, adjoint = _invariance_reports(u, (phi, conj_flip_symbol(phi)), n, residual_tol)
     theta = gcd_symbol_theta(u)
     bb_theta = beurling_basis(theta, n)
     phi_plus = np.array([phi.coefficient(k) for k in range(n + 1)])
@@ -388,10 +396,9 @@ def random_symbol_in_model(v: BlaschkeProduct, seed: int, n: int) -> Symbol:
     c = rng.standard_normal(v.degree) + 1j * rng.standard_normal(v.degree)
     c /= np.linalg.norm(c)
     coeffs = basis.columns @ c
-    tails = tm_column_tails(v, n)
     return analytic_symbol(
         coeffs,
-        tail_l1=float(np.abs(c) @ tails),
+        tail_l1=float(np.abs(c) @ basis.column_tails),
         name=f"model sample(seed={seed})",
     )
 

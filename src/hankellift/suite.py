@@ -17,7 +17,6 @@ from .fourier import analytic_symbol, conj_flip_symbol, materialize, symbol_from
 from .intertwine import (
     gcd_symbol_theta,
     intertwiner_from_symbol,
-    iterated_lifting_symbol,
     lifting_symbol,
     solve_intertwiner_space,
     solve_toeplitz_fixed_space,
@@ -57,7 +56,7 @@ class CriterionResult:
 
 
 def criterion_existence_dichotomy() -> tuple[bool, str]:
-    """Nonzero intertwiners exist exactly when gcd{u, reflected u} is nontrivial."""
+    """The intertwiners form a space of dimension deg(gcd{u, reflected u})."""
     t0 = time.perf_counter()
     failures = []
     min_gap = math.inf
@@ -65,12 +64,12 @@ def criterion_existence_dichotomy() -> tuple[bool, str]:
         u = random_blaschke(1000 + i, max_degree=5, radius=0.8)
         rep = solve_intertwiner_space(u, 64)
         min_gap = min(min_gap, rep.gap.gap)
-        if (rep.solution_dim > 0) != (rep.theta.degree > 0) or rep.gap.gap < 100.0:
+        if rep.solution_dim != rep.theta.degree or rep.gap.gap < 100.0:
             failures.append(i)
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 30.0
     return ok, (
-        f"50 random products: dim>0 iff deg(theta)>0, "
+        f"50 random products: dim = deg(theta), "
         f"min gap {min_gap:.1e}, runtime under 30s: {elapsed < 30.0}"
         + (f", failures at {failures}" if failures else "")
     )
@@ -83,7 +82,7 @@ def criterion_conjugate_pair() -> tuple[bool, str]:
     rep = solve_intertwiner_space(u, 64)
     basis = tm_basis(u, 64)
     xs = [
-        intertwiner_from_symbol(basis, iterated_lifting_symbol(u, 2 * basis.order, j)).entries
+        intertwiner_from_symbol(basis, lifting_symbol(u, 2 * basis.order, j)).entries
         for j in (1, 2)
     ]
     vecs = np.stack([x.flatten(order="F") for x in xs], axis=1)
@@ -107,16 +106,16 @@ def criterion_conjugate_pair() -> tuple[bool, str]:
 
 def criterion_block_lifting() -> tuple[bool, str]:
     """H_phi is diag(X, 0) in the [Q_u | uH^2] basis and the norms coincide."""
-    cases = []
-    u1 = monomial(2)
-    cases.append((u1, analytic_symbol([0.0, 1.0]), 64))
-    u2 = make_blaschke([0.5j, -0.5j])
-    basis2 = tm_basis(u2, 64)
-    cases.append((u2, lifting_symbol(u2, 2 * basis2.order), 64))
+    basis1 = tm_basis(monomial(2), 64)
+    basis2 = tm_basis(make_blaschke([0.5j, -0.5j]), 64)
+    cases = [
+        (basis1, analytic_symbol([0.0, 1.0])),
+        (basis2, lifting_symbol(basis2.u, 2 * basis2.order)),
+    ]
     worst = 0.0
-    for u, phi, n in cases:
-        x = intertwiner_from_symbol(tm_basis(u, n), phi)
-        rec = verify_block_lift(x, phi, u, n)
+    for basis, phi in cases:
+        x = intertwiner_from_symbol(basis, phi)
+        rec = verify_block_lift(x, phi, basis)
         worst = max(worst, rec.top_left_residual, rec.off_diagonal_max, rec.norm_gap)
     ok = worst <= 1e-8
     return ok, f"2 cases at order 64: worst block/norm residual {worst:.1e}"
@@ -219,7 +218,7 @@ def criterion_hilbert_matrix() -> tuple[bool, str]:
     u = monomial(2)
     basis = tm_basis(u, 64)
     x = compress(hilbert_hankel(64), basis)
-    rec = verify_block_lift(x, materialize(hilbert_generator(), 128), u, 64)
+    rec = verify_block_lift(x, materialize(hilbert_generator(), 128), basis)
     lift_fails = rec.off_diagonal_max > 0.1
     elapsed = time.perf_counter() - t0
     ok = monotone and below_pi and exact and all_false and lift_fails and elapsed < 60.0

@@ -43,6 +43,8 @@ def test_config_file_unknown_key(tmp_path):
         ({"command": "gcd", "zeros": [[0.5]]}, None),
         ({"command": "gcd", "zeros": "0.5,0", "order": "abc"}, None),
         ({"command": "invariance", "zeros": "0,0;0,0"}, [["a", 1, 2]]),
+        ({"command": "gcd", "zeros": [[0.5, 0, 9]]}, None),
+        ({"command": "gcd", "zeros": "0.5,0", "constant": [1, 0, 0]}, None),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, config, symbol):
@@ -86,12 +88,20 @@ def test_gcd_command_conjugate_pair(capsys):
     assert report["checks"][0]["passed"] is True
 
 
-def test_intertwine_command_trivial_case(capsys):
-    code = cli.main(["--command", "intertwine", "--zeros", "0,0.5"])
+@pytest.mark.parametrize(
+    "flags,dim",
+    [
+        pytest.param(["--zeros", "0,0.5"], 0, id="trivial"),
+        # the basis stops at order deg(u) - 1, where the Beurling block is empty
+        pytest.param(["--zeros", "0,0;0,0;0,0", "--order", "1"], 3, id="empty-beurling-block"),
+    ],
+)
+def test_intertwine_command_solution_dim(capsys, flags, dim):
+    code = cli.main(["--command", "intertwine"] + flags)
     report = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert report["payload"]["solution_dim"] == 0
-    assert report["payload"]["theta_degree"] == 0
+    assert report["payload"]["solution_dim"] == dim
+    assert report["payload"]["theta_degree"] == dim
 
 
 def test_hilbert_command(capsys):
@@ -153,8 +163,16 @@ def test_symbol_file_loading(tmp_path, capsys):
     assert report["payload"]["cond1"] and report["payload"]["cond2"] and report["payload"]["cond3"]
 
 
-def test_lift_check_command_default_symbol(capsys):
-    code = cli.main(["--command", "lift-check", "--zeros", "0,0.5;0,-0.5"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        pytest.param(["--zeros", "0,0.5;0,-0.5"], id="conjugate-pair"),
+        pytest.param(["--zeros", "0,0;0,0;0,0", "--order", "1"], id="order-1"),
+        pytest.param(["--zeros", "0,0;0,0;0,0", "--order", "2"], id="order-2"),
+    ],
+)
+def test_lift_check_command_default_symbol(capsys, flags):
+    code = cli.main(["--command", "lift-check"] + flags)
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["payload"]["off_diagonal_max"] < 1e-8

@@ -7,7 +7,6 @@ from hankellift.fourier import analytic_symbol, symbol_from_laurent
 from hankellift.intertwine import (
     gcd_symbol_theta,
     intertwiner_from_symbol,
-    iterated_lifting_symbol,
     lifting_symbol,
     solve_intertwiner_space,
     solve_toeplitz_fixed_space,
@@ -123,7 +122,7 @@ def test_solve_conjugate_pair_contains_both_constructions():
     kernel = np.stack([x.flatten(order="F") for x in rep.basis], axis=1)
     vecs = []
     for j in (1, 2):
-        phi = iterated_lifting_symbol(u, 2 * basis.order, j)
+        phi = lifting_symbol(u, 2 * basis.order, j)
         x = intertwiner_from_symbol(basis, phi).entries
         v = x.flatten(order="F")
         vecs.append(v)
@@ -144,7 +143,7 @@ def test_existence_dichotomy_sample():
     for seed in range(15):
         u = random_blaschke(100 + seed, max_degree=5, radius=0.8)
         rep = solve_intertwiner_space(u, 64)
-        assert (rep.solution_dim > 0) == (rep.theta.degree > 0)
+        assert rep.solution_dim == rep.theta.degree
         assert rep.gap.gap >= 100
 
 
@@ -159,8 +158,9 @@ def test_gcd_solution_is_nonzero_and_in_span():
 def test_block_lift_monomial_shift_symbol():
     u = monomial(2)
     phi = analytic_symbol([0.0, 1.0])
-    x = intertwiner_from_symbol(tm_basis(u, 64), phi)
-    rec = verify_block_lift(x, phi, u, 64)
+    basis = tm_basis(u, 64)
+    x = intertwiner_from_symbol(basis, phi)
+    rec = verify_block_lift(x, phi, basis)
     assert rec.off_diagonal_max == 0.0
     assert rec.top_left_residual == 0.0
     assert abs(rec.norm_h - 1.0) < 1e-14 and abs(rec.norm_x - 1.0) < 1e-14
@@ -171,7 +171,7 @@ def test_block_lift_conjugate_pair():
     basis = tm_basis(u, 64)
     phi = lifting_symbol(u, 2 * basis.order)
     x = intertwiner_from_symbol(basis, phi)
-    rec = verify_block_lift(x, phi, u, 64)
+    rec = verify_block_lift(x, phi, basis)
     assert rec.top_left_residual < 1e-8
     assert rec.off_diagonal_max < 1e-8
     assert rec.norm_gap < 1e-8
@@ -181,7 +181,7 @@ def test_block_lift_fails_for_hilbert_symbol():
     u = monomial(2)
     basis = tm_basis(u, 64)
     x = compress(hilbert_hankel(basis.order), basis)
-    rec = verify_block_lift(x, materialize(hilbert_generator(), 2 * basis.order), u, 64)
+    rec = verify_block_lift(x, materialize(hilbert_generator(), 2 * basis.order), basis)
     assert rec.off_diagonal_max > 0.1
 
 
