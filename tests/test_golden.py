@@ -3,10 +3,13 @@
 Each file ``tests/golden/<case>.json`` is the report ``hankellift`` writes
 for the config of that case.  Regenerate them with
 ``PYTHONPATH=src python tests/test_golden.py``, and only in a change that
-means to alter the report output.
+means to alter the report output.  Regeneration writes nothing when an exit
+code or any verdict or error of an existing report would change.
 """
 
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -95,9 +98,60 @@ def test_report_bytes_match_golden(case, tmp_path, monkeypatch):
     assert out.read_bytes() == (GOLDEN / f"{case}.json").read_bytes()
 
 
+# report keys that hold a verdict or an error, at any depth
+VERDICT_KEYS = {"passed", "decisive", "cond1", "cond2", "cond3", "verdicts", "agreement", "error"}
+
+
+def _verdicts(node, path=""):
+    """(path, value) of every verdict key in a parsed report."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key in VERDICT_KEYS:
+                yield f"{path}/{key}", value
+            yield from _verdicts(value, f"{path}/{key}")
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _verdicts(value, f"{path}/{i}")
+
+
+def _verdict_changes(case, old: bytes, new: bytes) -> list:
+    before, after = dict(_verdicts(json.loads(old))), dict(_verdicts(json.loads(new)))
+    return [
+        f"{case}: {path} {before.get(path)!r} -> {after.get(path)!r}"
+        for path in sorted(before.keys() | after.keys())
+        if before.get(path) != after.get(path)
+    ]
+
+
+def test_regeneration_guard_sees_only_verdict_changes():
+    old = (GOLDEN / "reduce-off-model.json").read_bytes()
+    report = json.loads(old)
+    report["payload"]["forward"]["residuals"][0] *= 2.0
+    report["payload"]["forward"]["k_range"] = [0, 99]
+    assert _verdict_changes("case", old, json.dumps(report).encode()) == []
+    report["checks"][0]["decisive"] = not report["checks"][0]["decisive"]
+    report["payload"]["verdicts"][2] = True
+    assert _verdict_changes("case", old, json.dumps(report).encode()) == [
+        "case: /checks/0/decisive True -> False",
+        "case: /payload/verdicts [False, False, False] -> [False, False, True]",
+    ]
+
+
 if __name__ == "__main__":
     cli.run_suite = lambda: FIXED_SUITE
-    for case, (argv, code) in sorted(CASES.items()):
-        got = cli.main(argv + ["--out", str(GOLDEN / f"{case}.json")])
-        if got != code:
-            sys.exit(f"{case}: exit code {got}, expected {code}")
+    reports, problems = {}, []
+    with tempfile.TemporaryDirectory() as tmp:
+        for case, (argv, code) in sorted(CASES.items()):
+            out = Path(tmp) / f"{case}.json"
+            got = cli.main(argv + ["--out", str(out)])
+            if got != code:
+                problems.append(f"{case}: exit code {got}, expected {code}")
+                continue
+            reports[case] = out.read_bytes()
+            golden = GOLDEN / f"{case}.json"
+            if golden.exists():
+                problems += _verdict_changes(case, golden.read_bytes(), reports[case])
+    if problems:
+        sys.exit("refusing to regenerate the goldens:\n" + "\n".join(problems))
+    for case, data in reports.items():
+        (GOLDEN / f"{case}.json").write_bytes(data)
