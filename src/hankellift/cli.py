@@ -312,8 +312,8 @@ def _run_intertwine(cfg):
         "gcd_solution_residual": rep.gcd_solution_residual,
         "order": rep.order,
     }
-    exists = (rep.solution_dim > 0) == (rep.theta.degree > 0)
-    return payload, [_check("existence dichotomy", exists, float(rep.solution_dim), 0.0)]
+    passed = rep.solution_dim == rep.theta.degree
+    return payload, [_check("existence dichotomy", passed, float(rep.solution_dim), 0.0)]
 
 
 def _run_lift_check(cfg):
@@ -461,7 +461,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 # check names -> the classical statement they exercise, for the text format
 _CHECK_NOTES = {
     "gcd nontrivial": "nonzero intertwiner exists iff gcd{u, reflected u} != 1",
-    "existence dichotomy": "solution space nontrivial iff gcd{u, reflected u} != 1",
+    "existence dichotomy": "solution space has dimension deg gcd{u, reflected u}",
     "block lift": "H = diag(X, 0) on Q_u + uH^2 with equal norms",
     "invariant": "uH^2 invariant under the Hankel operator",
     "kernel": "uH^2 inside ker of the Hankel operator",

@@ -50,7 +50,6 @@ class BeurlingBasis:
     """Orthonormal columns spanning the truncated shifts of u at the given order."""
 
     columns: np.ndarray  # (order+1, order+1-degree)
-    shifts: np.ndarray  # the raw truncated shifts u*z^k the columns orthonormalize
 
 
 def tm_column_tails(u: BlaschkeProduct, order: int) -> np.ndarray:
@@ -96,23 +95,30 @@ def tm_basis(u: BlaschkeProduct, n: int, tail_target=TAIL_TARGET, order_cap=ORDE
     return ModelSpaceBasis(columns=cols, u=u, order=order, column_tails=tails)
 
 
+def lower_toeplitz(coeffs, columns=None) -> np.ndarray:
+    """The shifts z^k f, k = 0..columns-1, of the series f = coeffs, cut to its length.
+
+    With the default ``columns`` this is the lower-triangular Toeplitz
+    matrix of f: multiplication by f on the section of its order.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    columns = coeffs.size if columns is None else columns
+    lag = np.arange(coeffs.size)[:, None] - np.arange(columns)[None, :]
+    return np.where(lag >= 0, coeffs[np.maximum(lag, 0)], 0)
+
+
 def shifted_inner_columns(u: BlaschkeProduct, n: int, k_max=None):
     """Raw truncated expansions of u*z^k for k = 0..k_max, with per-column tails.
 
     k_max = -1 gives no columns: at order deg(u) - 1, Q_u fills the section.
     """
-    d = u.degree
     if k_max is None:
-        k_max = n - d
+        k_max = n - u.degree
     if k_max < -1:
         raise ValueError("order too small for any shifted column")
     coeffs, _ = taylor_coefficients(u, n)
-    cols = np.zeros((n + 1, k_max + 1), dtype=complex)
-    tails = np.zeros(k_max + 1)
-    for k in range(k_max + 1):
-        cols[k:, k] = coeffs[: n + 1 - k]
-        tails[k] = series_tail_bound(u.zeros, n - k)
-    return cols, tails
+    tails = np.array([series_tail_bound(u.zeros, n - k) for k in range(k_max + 1)])
+    return lower_toeplitz(coeffs, k_max + 1), tails
 
 
 def beurling_basis(u: BlaschkeProduct, n: int) -> BeurlingBasis:
@@ -126,7 +132,7 @@ def beurling_basis(u: BlaschkeProduct, n: int) -> BeurlingBasis:
     q, r = np.linalg.qr(raw)
     signs = np.sign(np.real(np.diag(r)))
     signs[signs == 0] = 1.0
-    return BeurlingBasis(columns=q * signs, shifts=raw)
+    return BeurlingBasis(columns=q * signs)
 
 
 def compressed_shift(basis: ModelSpaceBasis) -> OperatorMatrix:

@@ -104,6 +104,27 @@ def test_intertwine_command_solution_dim(capsys, flags, dim):
     assert report["payload"]["theta_degree"] == dim
 
 
+# 12 separated zeros with one conjugate pair: the rank cut leaves a third,
+# spurious solution, so the dimension misses deg(theta) = 2
+HIGH_DEGREE_ZEROS = (
+    "0.39251857591282635,-0.28572138617142706;0.39251857591282635,0.28572138617142706;"
+    "-0.22452833522380705,0.2668881056025896;-0.3740507124744416,0.373417253548446;"
+    "-0.4667527243864865,-0.20957949734627224;-0.030384029041094607,0.06530159622330445;"
+    "0.20796440797267857,0.07864296255564984;-0.1307500596862291,-0.5743398273401928;"
+    "0.26345533047272673,-0.2894296988638568;-0.11602146730854013,-0.11904749919869384;"
+    "0.2308288466407994,-0.18848026635368564;0.014169902319752903,0.2984888778223662"
+)
+
+
+def test_intertwine_check_requires_dim_equal_to_theta_degree(capsys):
+    code = cli.main(["--command", "intertwine", "--zeros", HIGH_DEGREE_ZEROS])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["payload"]["theta_degree"] == 2
+    dim = report["payload"]["solution_dim"]
+    assert report["checks"][0]["passed"] is (dim == 2)
+
+
 def test_hilbert_command(capsys):
     code = cli.main(["--command", "hilbert", "--order", "128"])
     report = json.loads(capsys.readouterr().out)
@@ -208,6 +229,15 @@ def test_numerical_refusal_exit_code(capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 3
     assert report["error"]["type"] == "AmbiguousRank"
+
+
+def test_kernel_refuses_an_uncertified_symbol_tail(capsys):
+    # at order 64 the kernel symbol of the zero 0.9 keeps a tail above 1e-10
+    code = cli.main(["--command", "kernel", "--zeros", "0.9,0"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert report["error"]["type"] == "TailBoundExceeded"
+    assert "order 64" in report["error"]["message"]
 
 
 def test_suite_exit_codes(monkeypatch, capsys):

@@ -8,14 +8,13 @@ from hankellift.blaschke import (
     random_blaschke,
     taylor_coefficients,
 )
-from hankellift.errors import KernelNotBeurling, WindowTooSmall
+from hankellift.errors import KernelNotBeurling, TailBoundExceeded, WindowTooSmall
 from hankellift.fourier import analytic_symbol, materialize
 from hankellift.intertwine import gcd_symbol_theta
 from hankellift.operators import hankel_matrix, hilbert_generator, operator_norm, toeplitz_matrix
 from hankellift.subspaces import (
     check_invariance,
     check_reducing,
-    coburn_intersection_dim,
     kernel_divisor_check,
     kernel_symbol,
     random_symbol_in_model,
@@ -52,8 +51,45 @@ def test_invariance_zero_symbol_all_true():
 
 
 def test_invariance_window_too_small():
+    # the exact block needs only window <= order
+    rep = check_invariance(monomial(2), analytic_symbol(np.ones(60)), 64)
+    assert rep.decisive and rep.k_range == (0, 59)
     with pytest.raises(WindowTooSmall):
-        check_invariance(monomial(2), analytic_symbol(np.ones(60)), 64)
+        check_invariance(monomial(2), analytic_symbol(np.ones(66)), 64)
+
+
+def _truncated_shifts(u, n):
+    coeffs, _ = taylor_coefficients(u, n)
+    cols = np.zeros((n + 1, n + 1 - u.degree), dtype=complex)
+    for k in range(n + 1 - u.degree):
+        cols[k:, k] = coeffs[: n + 1 - k]
+    return cols
+
+
+def test_exact_residuals_match_an_order_512_beurling_projection():
+    # oracle: project onto QR-orthonormalized shifts of u (and of its
+    # reflection) at order 512, over the same shifts j = 0..W
+    n = 512
+    for i in range(10):
+        u = random_blaschke(4000 + i, max_degree=4, radius=0.7)
+        v = conj_reflect(u)
+        if i % 2 == 0:
+            phi = random_symbol_in_model(v, 24000 + i, 32)
+        else:
+            phi = random_symbol_outside_model(v, 24000 + i, 64)
+        rep = check_invariance(u, phi, 64)
+        shifts = _truncated_shifts(u, n)
+        q, _ = np.linalg.qr(shifts)
+        images = hankel_matrix(phi, n).entries @ shifts[:, : phi.window + 1]
+        q_refl, _ = np.linalg.qr(_truncated_shifts(v, n))
+        phi_plus = np.array([phi.coefficient(k) for k in range(n + 1)])
+        oracle = (
+            np.linalg.norm(images - q @ (q.conj().T @ images), axis=0).max(),
+            np.linalg.norm(images, axis=0).max(),
+            np.linalg.norm(q_refl.conj().T @ phi_plus),
+        )
+        for cond, expected in zip(rep.conditions, oracle):
+            assert abs(cond.residual - expected) <= 1e-3 * expected + 1e-12, (i, cond.name)
 
 
 def test_reducing_monomial_shift_symbol():
@@ -111,6 +147,17 @@ def test_kernel_identity_single_factor():
     assert rep.inclusion_residual < 1e-9
     assert rep.restricted_sigma_min > 0.1
     assert rep.k_range[1] >= 1
+
+
+def test_kernel_identity_tests_every_shift():
+    rep = verify_kernel_identity(make_blaschke([0.3 + 0.5j, 0.3 - 0.5j, 0.6]), 64)
+    assert rep.k_range == (0, 128)
+    assert rep.inclusion_holds
+
+
+def test_kernel_identity_refuses_an_uncertified_symbol_tail():
+    with pytest.raises(TailBoundExceeded):
+        verify_kernel_identity(make_blaschke([0.9]), 64)
 
 
 def test_kernel_identity_rejects_constants():
@@ -240,11 +287,3 @@ def test_kernel_condition_matches_operator_formulation():
         assert rep.kernel.holds == expected
         assert (product <= rep.kernel.tolerance + 1e-6) == expected
 
-
-def test_coburn_trivial_intersection():
-    rng = np.random.default_rng(77)
-    for i in range(20):
-        window = int(rng.integers(1, 7))
-        coeffs = rng.standard_normal(window + 1) + 1j * rng.standard_normal(window + 1)
-        phi = analytic_symbol(coeffs)
-        assert coburn_intersection_dim(phi, 64) == 0
