@@ -104,8 +104,8 @@ def test_intertwine_command_solution_dim(capsys, flags, dim):
     assert report["payload"]["theta_degree"] == dim
 
 
-# 12 separated zeros with one conjugate pair: the rank cut leaves a third,
-# spurious solution, so the dimension misses deg(theta) = 2
+# 12 separated zeros with one conjugate pair, so deg(theta) = 2; at order 64
+# the rank cut counts a spurious third solution, which the check must not pass
 HIGH_DEGREE_ZEROS = (
     "0.39251857591282635,-0.28572138617142706;0.39251857591282635,0.28572138617142706;"
     "-0.22452833522380705,0.2668881056025896;-0.3740507124744416,0.373417253548446;"

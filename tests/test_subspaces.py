@@ -286,4 +286,3 @@ def test_kernel_condition_matches_operator_formulation():
         product = operator_norm(hankel_matrix(phi, 64).entries @ t_u)
         assert rep.kernel.holds == expected
         assert (product <= rep.kernel.tolerance + 1e-6) == expected
-
