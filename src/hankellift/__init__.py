@@ -23,7 +23,6 @@ from .fourier import (
     symbol_from_laurent,
 )
 from .operators import (
-    OperatorMatrix,
     hankel_intertwine_residual,
     hankel_matrix,
     hilbert_generator,

@@ -14,21 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AmbiguousMatching,
-    NonUnimodularConstant,
-    TailBoundExceeded,
-    ZeroOutsideDisk,
-)
+from .errors import AmbiguousMatching, NonUnimodularConstant, ZeroOutsideDisk
 
 # Zeros with |alpha| >= 1 - DELTA_MIN are rejected: the coefficient decay
 # rate max|alpha| governs every truncation cost downstream.
 DELTA_MIN = 0.05
 
-# Default matching tolerance for gcd / divisibility of floating zeros.
+# Matching tolerance for gcd / divisibility of floating zeros.
 GCD_TOL = 1e-9
 
 UNIMODULAR_TOL = 1e-12
+
+# random_blaschke resamples near-conjugate near-misses closer than this.
+MIN_SEP = 1e-3
+
+# Number of expansion radii series_tail_bound minimizes over.
+TAIL_GRID = 64
 
 
 @dataclass(frozen=True)
@@ -64,16 +65,16 @@ def _canonical_zeros(zeros):
     return tuple(sorted((complex(z) for z in zeros), key=lambda z: (z.real, z.imag)))
 
 
-def make_blaschke(zeros, constant=1.0, delta_min=DELTA_MIN) -> BlaschkeProduct:
+def make_blaschke(zeros, constant=1.0) -> BlaschkeProduct:
     """Build constant * prod b_{alpha_i}; zeros kept with multiplicity."""
     constant = complex(constant)
     if abs(abs(constant) - 1.0) > UNIMODULAR_TOL:
         raise NonUnimodularConstant(f"|constant| = {abs(constant)!r} is not 1")
     zs = _canonical_zeros(zeros)
     for z in zs:
-        if abs(z) >= 1.0 - delta_min:
+        if abs(z) >= 1.0 - DELTA_MIN:
             raise ZeroOutsideDisk(
-                f"zero {z} has |z| = {abs(z):.6f} >= {1 - delta_min}; "
+                f"zero {z} has |z| = {abs(z):.6f} >= {1 - DELTA_MIN}; "
                 "truncation would be ill conditioned"
             )
     return BlaschkeProduct(constant=constant, zeros=zs)
@@ -105,26 +106,26 @@ def conj_reflect(b: BlaschkeProduct) -> BlaschkeProduct:
     )
 
 
-def _check_matching_ambiguity(z1, z2, tol):
+def _check_matching_ambiguity(z1, z2):
     """Raise if several distinct zeros compete for one match slot."""
     c1, c2 = Counter(z1), Counter(z2)
     for left, right in ((c1, c2), (c2, c1)):
         for a, mult in left.items():
-            close = [w for w in right if abs(w - a) < tol]
+            close = [w for w in right if abs(w - a) < GCD_TOL]
             if len(close) >= 2 and mult < sum(right[w] for w in close):
                 raise AmbiguousMatching(
-                    f"{len(close)} distinct zeros lie within {tol} of {a} "
+                    f"{len(close)} distinct zeros lie within {GCD_TOL} of {a} "
                     f"but only {mult} slot(s) are available; tolerance too coarse"
                 )
 
 
-def _greedy_match(z1, z2, tol):
+def _greedy_match(z1, z2):
     """Minimum-distance greedy pairing of two zero lists; returns index pairs."""
     pairs = sorted(
         (abs(a - w), i, j)
         for i, a in enumerate(z1)
         for j, w in enumerate(z2)
-        if abs(a - w) < tol
+        if abs(a - w) < GCD_TOL
     )
     used1, used2, matches = set(), set(), []
     for _, i, j in pairs:
@@ -135,23 +136,23 @@ def _greedy_match(z1, z2, tol):
     return matches
 
 
-def gcd_inner(b1: BlaschkeProduct, b2: BlaschkeProduct, tol=GCD_TOL) -> BlaschkeProduct:
-    """Multiset intersection of the zeros under tol-matching; constant 1.
+def gcd_inner(b1: BlaschkeProduct, b2: BlaschkeProduct) -> BlaschkeProduct:
+    """Multiset intersection of the zeros under GCD_TOL-matching; constant 1.
 
     The representative of a matched pair is taken from ``b1`` so that the
     result divides both inputs under the same tolerance.
     """
-    _check_matching_ambiguity(b1.zeros, b2.zeros, tol)
-    matches = _greedy_match(b1.zeros, b2.zeros, tol)
+    _check_matching_ambiguity(b1.zeros, b2.zeros)
+    matches = _greedy_match(b1.zeros, b2.zeros)
     return BlaschkeProduct(
         constant=1.0 + 0.0j,
         zeros=_canonical_zeros(b1.zeros[i] for i, _ in matches),
     )
 
 
-def divide(v: BlaschkeProduct, u: BlaschkeProduct, tol=GCD_TOL):
+def divide(v: BlaschkeProduct, u: BlaschkeProduct):
     """Return w with v = w*u when u's zeros embed in v's, else None."""
-    matches = _greedy_match(v.zeros, u.zeros, tol)
+    matches = _greedy_match(v.zeros, u.zeros)
     if len(matches) < u.degree:
         return None
     matched = {i for i, _ in matches}
@@ -175,12 +176,14 @@ def _factor_weight(alpha_abs, r):
     return alpha_abs + (1.0 - alpha_abs**2) * r / (1.0 - alpha_abs * r)
 
 
-def series_tail_bound(zeros, n, szego_alpha=None, scale=1.0, grid=64):
+def series_tail_bound(zeros, n, szego_alpha=None, scale=1.0):
     """Certified bound on sum_{k>n} |c_k| for a product of Blaschke factors.
 
     Optionally multiplied by a normalized Szego kernel 1/(1 - conj(a) z).
     Uses the submultiplicative weighted-l1 norm W_r = sum |c_k| r^k on a
     grid of radii 1 < r < 1/rho, which gives tail <= min_r W_r / r^(n+1).
+    The grid stops where r^(n+1) reaches 1e300, so the power never
+    overflows to inf (which would certify a bound of 0).
     Exact polynomials (all zeros at the origin, no kernel factor) get 0.
     """
     moduli = [abs(a) for a in zeros]
@@ -189,7 +192,8 @@ def series_tail_bound(zeros, n, szego_alpha=None, scale=1.0, grid=64):
         rho = max(rho, abs(szego_alpha))
     if rho == 0.0:
         return 0.0 if n >= len(moduli) else float(abs(scale))
-    radii = np.geomspace(1.0 + 1e-6, (1.0 / rho) * (1.0 - 1e-9), grid)
+    top = min((1.0 / rho) * (1.0 - 1e-9), 10.0 ** (300.0 / (n + 1)))
+    radii = np.geomspace(1.0 + 1e-6, top, TAIL_GRID)
     best = np.inf
     for r in radii:
         w = float(abs(scale))
@@ -201,12 +205,11 @@ def series_tail_bound(zeros, n, szego_alpha=None, scale=1.0, grid=64):
     return float(best)
 
 
-def taylor_coefficients(b: BlaschkeProduct, n: int, tail_cap=None):
+def taylor_coefficients(b: BlaschkeProduct, n: int):
     """Coefficients c_0..c_n of the power series at 0, plus a certified tail bound.
 
     Computed by serial convolution of the factor series; coefficients up to
-    index ``n`` are exact in floating arithmetic.  Raises TailBoundExceeded
-    when ``tail_cap`` is given and the certified bound is larger.
+    index ``n`` are exact in floating arithmetic.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -214,21 +217,16 @@ def taylor_coefficients(b: BlaschkeProduct, n: int, tail_cap=None):
     coeffs[0] = b.constant
     for a in b.zeros:
         coeffs = np.convolve(coeffs, _factor_series(a, n))[: n + 1]
-    tail = series_tail_bound(b.zeros, n)
-    if tail_cap is not None and tail > tail_cap:
-        raise TailBoundExceeded(
-            f"certified tail {tail:.3e} at order {n} exceeds cap {tail_cap:.3e}"
-        )
-    return coeffs, tail
+    return coeffs, series_tail_bound(b.zeros, n)
 
 
-def random_blaschke(seed, max_degree=5, radius=0.8, plant_pair=None, min_sep=1e-3):
+def random_blaschke(seed, max_degree=5, radius=0.8, plant_pair=None):
     """Seeded random product for property tests and the verification suite.
 
     Draws ``degree`` zeros with |alpha| <= radius.  With ``plant_pair`` (or a
     coin flip when None) one zero is duplicated as its exact conjugate so
     that gcd{u, reflected u} is nontrivial.  Configurations with any
-    near-conjugate near-miss |conj(a_p) - a_q| in (GCD_TOL, min_sep) are
+    near-conjugate near-miss |conj(a_p) - a_q| in (GCD_TOL, MIN_SEP) are
     resampled so the gcd decision stays unambiguous.
     """
     rng = np.random.default_rng(seed)
@@ -248,6 +246,6 @@ def random_blaschke(seed, max_degree=5, radius=0.8, plant_pair=None, min_sep=1e-
                     break
             zeros += [z, np.conj(z)]
         gaps = [abs(np.conj(p) - q) for p in zeros for q in zeros]
-        if all(g <= GCD_TOL or g >= min_sep for g in gaps):
+        if all(g <= GCD_TOL or g >= MIN_SEP for g in gaps):
             return make_blaschke(zeros)
     raise RuntimeError("random_blaschke failed to find an unambiguous configuration")

@@ -24,13 +24,12 @@ class Symbol:
     symbol IS that Laurent polynomial); ``tail_l1`` carries the certified
     l1 mass by which it differs from an underlying function it was
     materialized from (0 for genuine polynomials).  Generator form carries
-    the rule k -> coefficient for k >= k_min.
+    the rule k -> coefficient for k >= 0.
     """
 
     laurent: Optional[np.ndarray] = None
     window: Optional[int] = None
     generator: Optional[Callable[[int], complex]] = field(default=None, repr=False)
-    k_min: int = 0
     tail_l1: float = 0.0
     name: str = ""
 
@@ -43,7 +42,7 @@ class Symbol:
             if abs(k) > self.window:
                 return 0.0 + 0.0j
             return complex(self.laurent[k + self.window])
-        if k < self.k_min:
+        if k < 0:
             return 0.0 + 0.0j
         return complex(self.generator(k))
 
@@ -76,8 +75,8 @@ def analytic_symbol(coeffs, tail_l1=0.0, name="") -> Symbol:
     return Symbol(laurent=c, window=window, tail_l1=float(tail_l1), name=name)
 
 
-def generator_symbol(rule, k_min=0, name="") -> Symbol:
-    return Symbol(generator=rule, k_min=k_min, name=name)
+def generator_symbol(rule, name="") -> Symbol:
+    return Symbol(generator=rule, name=name)
 
 
 def materialize(phi: Symbol, window: int) -> Symbol:
@@ -91,7 +90,7 @@ def materialize(phi: Symbol, window: int) -> Symbol:
         c = phi.laurent[phi.window - window : phi.window + window + 1]
         return replace(phi, laurent=np.array(c), window=window)
     c = np.zeros(2 * window + 1, dtype=complex)
-    for k in range(max(phi.k_min, -window), window + 1):
+    for k in range(window + 1):
         c[k + window] = phi.coefficient(k)
     return Symbol(laurent=c, window=window, name=phi.name)
 

@@ -17,14 +17,7 @@ from .blaschke import BlaschkeProduct, conj_reflect, gcd_inner, taylor_coefficie
 from .errors import OrderMismatch
 from .fourier import Symbol, analytic_symbol
 from .model_space import ModelSpaceBasis, beurling_basis, compress, compressed_shift, tm_basis
-from .operators import (
-    OperatorMatrix,
-    RANK_TOL_FACTOR,
-    RankGapReport,
-    hankel_matrix,
-    null_space,
-    operator_norm,
-)
+from .operators import RANK_TOL_FACTOR, RankGapReport, hankel_matrix, null_space, operator_norm
 
 
 def gcd_symbol_theta(u: BlaschkeProduct) -> BlaschkeProduct:
@@ -49,21 +42,26 @@ def lifting_symbol(u: BlaschkeProduct, n: int, j: int = 1) -> Optional[Symbol]:
     return analytic_symbol(coeffs[j:], tail_l1=tail, name=f"backshift^{j} gcd")
 
 
-def intertwiner_from_symbol(basis: ModelSpaceBasis, phi: Symbol) -> OperatorMatrix:
-    """X = H_phi compressed to Q_u at the order of the basis."""
+def _section(phi: Symbol, basis: ModelSpaceBasis) -> np.ndarray:
+    """H_phi at the order of the basis; refuses a window the section cannot hold."""
     phi.require_laurent()
     if phi.window > 2 * basis.order:
         raise OrderMismatch(
             f"symbol window {phi.window} exceeds 2x basis order {basis.order}"
         )
-    return compress(hankel_matrix(phi, basis.order), basis)
+    return hankel_matrix(phi, basis.order)
+
+
+def intertwiner_from_symbol(basis: ModelSpaceBasis, phi: Symbol) -> np.ndarray:
+    """X = H_phi compressed to Q_u at the order of the basis."""
+    return compress(_section(phi, basis), basis)
 
 
 @dataclass(frozen=True)
 class BlockLiftRecord:
     """Residuals of the block decomposition of H_phi against diag(X, 0)."""
 
-    top_left_residual: float
+    x: np.ndarray  # X = B* H_phi B, the Q_u block
     block_qb_norm: float  # Q_u rows against Beurling columns
     block_bq_norm: float
     block_bb_norm: float
@@ -77,24 +75,23 @@ class BlockLiftRecord:
         return max(self.block_qb_norm, self.block_bq_norm, self.block_bb_norm)
 
 
-def verify_block_lift(x, phi: Symbol, basis: ModelSpaceBasis) -> BlockLiftRecord:
-    """Change basis to [Q_u | u H^2] and compare H_phi with diag(X, 0)."""
-    x_entries = x.entries if isinstance(x, OperatorMatrix) else np.asarray(x, dtype=complex)
-    if isinstance(x, OperatorMatrix) and x.order != basis.order:
-        raise OrderMismatch(f"X built at order {x.order}, basis at {basis.order}")
-    if x_entries.shape != (basis.dim, basis.dim):
-        raise OrderMismatch(f"X shape {x_entries.shape} does not match dim {basis.dim}")
-    h = hankel_matrix(phi, basis.order).entries
+def verify_block_lift(phi: Symbol, basis: ModelSpaceBasis) -> BlockLiftRecord:
+    """Change basis to [Q_u | u H^2] and compare H_phi with diag(X, 0).
+
+    X is the Q_u block itself, so the lift holds when the three blocks that
+    touch u H^2 vanish and the norms of H_phi and X agree.
+    """
+    h = _section(phi, basis)
     bq = basis.columns
     bb = beurling_basis(basis.u, basis.order).columns
-    g_qq = bq.conj().T @ h @ bq
+    x = bq.conj().T @ h @ bq
     g_qb = bq.conj().T @ h @ bb
     g_bq = bb.conj().T @ h @ bq
     g_bb = bb.conj().T @ h @ bb
     norm_h = operator_norm(h)
-    norm_x = operator_norm(x_entries)
+    norm_x = operator_norm(x)
     return BlockLiftRecord(
-        top_left_residual=operator_norm(g_qq - x_entries),
+        x=x,
         block_qb_norm=operator_norm(g_qb),
         block_bq_norm=operator_norm(g_bq),
         block_bb_norm=operator_norm(g_bb),
@@ -148,7 +145,7 @@ def solve_intertwiner_space(u: BlaschkeProduct, n: int, rank_tol=RANK_TOL_FACTOR
         raise ValueError("u must be nonconstant")
     basis = tm_basis(u, n)
     d = basis.dim
-    s = compressed_shift(basis).entries
+    s = compressed_shift(basis)
     eye = np.eye(d)
     a = np.kron(eye, s.conj().T) - np.kron(s.T, eye)
     kernel, gap = null_space(a, rank_tol)
@@ -165,16 +162,14 @@ def solve_intertwiner_space(u: BlaschkeProduct, n: int, rank_tol=RANK_TOL_FACTOR
     gcd_residual = None
     lift_check = None
     if theta.degree > 0:
-        phi = lifting_symbol(u, 2 * basis.order)
-        x_gcd = intertwiner_from_symbol(basis, phi).entries
-        vec = x_gcd.flatten(order="F")
+        lift_check = verify_block_lift(lifting_symbol(u, 2 * basis.order), basis)
+        vec = lift_check.x.flatten(order="F")
         scale = np.linalg.norm(vec)
         if scale > 0 and kernel.shape[1]:
             proj = kernel @ (kernel.conj().T @ vec)
             gcd_residual = float(np.linalg.norm(vec - proj) / scale)
         else:
             gcd_residual = float(scale)
-        lift_check = verify_block_lift(x_gcd, phi, basis)
     return IntertwinerReport(
         u=u,
         theta=theta,
@@ -203,7 +198,7 @@ def solve_toeplitz_fixed_space(u: BlaschkeProduct, n: int, rank_tol=RANK_TOL_FAC
         raise ValueError("u must be nonconstant")
     basis = tm_basis(u, n)
     d = basis.dim
-    s = compressed_shift(basis).entries
+    s = compressed_shift(basis)
     a = np.kron(s.T, s.conj().T) - np.eye(d * d)
     kernel, gap = null_space(a, rank_tol)
     return ToeplitzFixedReport(

@@ -16,12 +16,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, series_tail_bound, taylor_coefficients
 from .errors import AmbiguousRank, OrderMismatch, TailBoundExceeded
-from .operators import (
-    GAP_FACTOR,
-    OperatorMatrix,
-    _entries,
-    shift_matrix,
-)
+from .operators import GAP_FACTOR, shift_matrix
 
 TAIL_TARGET = 1e-10
 ORDER_CAP = 1 << 14
@@ -67,16 +62,16 @@ def tm_column_tails(u: BlaschkeProduct, order: int) -> np.ndarray:
     )
 
 
-def tm_basis(u: BlaschkeProduct, n: int, tail_target=TAIL_TARGET, order_cap=ORDER_CAP) -> ModelSpaceBasis:
-    """Takenaka-Malmquist basis of Q_u, auto-raising the order for the tail target."""
+def tm_basis(u: BlaschkeProduct, n: int, tail_target=TAIL_TARGET) -> ModelSpaceBasis:
+    """Takenaka-Malmquist basis of Q_u, doubling the order up to ORDER_CAP for the tail target."""
     order = n
     tails = tm_column_tails(u, order)
-    while tails.max(initial=0.0) > tail_target and order < order_cap:
-        order = min(2 * order, order_cap)
+    while tails.max(initial=0.0) > tail_target and order < ORDER_CAP:
+        order = min(2 * order, ORDER_CAP)
         tails = tm_column_tails(u, order)
     if tails.max(initial=0.0) > tail_target:
         raise TailBoundExceeded(
-            f"basis tail at the order cap {order_cap} still exceeds {tail_target:.1e} "
+            f"basis tail at the order cap {ORDER_CAP} still exceeds {tail_target:.1e} "
             f"for {u.text()}"
         )
     d = u.degree
@@ -135,24 +130,19 @@ def beurling_basis(u: BlaschkeProduct, n: int) -> BeurlingBasis:
     return BeurlingBasis(columns=q * signs)
 
 
-def compressed_shift(basis: ModelSpaceBasis) -> OperatorMatrix:
+def compressed_shift(basis: ModelSpaceBasis) -> np.ndarray:
     """S = B* (shift section) B, the model operator on Q_u."""
-    s = basis.columns.conj().T @ shift_matrix(basis.order) @ basis.columns
-    return OperatorMatrix(entries=s, order=basis.order)
+    return basis.columns.conj().T @ shift_matrix(basis.order) @ basis.columns
 
 
-def compress(m, basis: ModelSpaceBasis) -> OperatorMatrix:
+def compress(m, basis: ModelSpaceBasis) -> np.ndarray:
     """B* M B for an operator on the analytic section of the same order."""
-    if isinstance(m, OperatorMatrix) and m.order != basis.order:
-        raise OrderMismatch(
-            f"operator built at order {m.order}, basis at order {basis.order}"
-        )
-    a = _entries(m)
+    a = np.asarray(m, dtype=complex)
     if a.shape != (basis.order + 1, basis.order + 1):
         raise OrderMismatch(
             f"operator shape {a.shape} does not match the section of order {basis.order}"
         )
-    return OperatorMatrix(entries=basis.columns.conj().T @ a @ basis.columns, order=basis.order)
+    return basis.columns.conj().T @ a @ basis.columns
 
 
 def subspace_intersection_dim(b1, b2, tol=1e-6) -> int:

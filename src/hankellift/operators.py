@@ -24,49 +24,31 @@ GAP_FACTOR = 100.0
 RANK_TOL_FACTOR = 1e-8
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense complex matrix tagged with its truncation order."""
-
-    entries: np.ndarray
-    order: int
-
-    @property
-    def shape(self):
-        return self.entries.shape
-
-
-def _entries(m) -> np.ndarray:
-    return m.entries if isinstance(m, OperatorMatrix) else np.asarray(m, dtype=complex)
-
-
-def hankel_matrix(phi: Symbol, n: int) -> OperatorMatrix:
-    """Section with entry(m, k) = phi_hat(m + k); depends only on P_+ phi."""
+def hankel_matrix(phi: Symbol, n: int) -> np.ndarray:
+    """Order-n section with entry(m, k) = phi_hat(m + k); depends only on P_+ phi."""
     c = np.array([phi.coefficient(k) for k in range(2 * n + 1)])
     idx = np.arange(n + 1)
-    return OperatorMatrix(entries=c[idx[:, None] + idx[None, :]], order=n)
+    return c[idx[:, None] + idx[None, :]]
 
 
-def toeplitz_matrix(phi: Symbol, n: int) -> OperatorMatrix:
-    """Section with entry(m, k) = phi_hat(m - k)."""
+def toeplitz_matrix(phi: Symbol, n: int) -> np.ndarray:
+    """Order-n section with entry(m, k) = phi_hat(m - k)."""
     c = np.array([phi.coefficient(k) for k in range(-n, n + 1)])
     idx = np.arange(n + 1)
-    return OperatorMatrix(entries=c[idx[:, None] - idx[None, :] + n], order=n)
+    return c[idx[:, None] - idx[None, :] + n]
 
 
 def hilbert_generator() -> Symbol:
     """The Hilbert Hankel coefficients k -> 1/(k+1), exposed only as a generator."""
-    return generator_symbol(lambda k: 1.0 / (k + 1), k_min=0, name="hilbert")
+    return generator_symbol(lambda k: 1.0 / (k + 1), name="hilbert")
 
 
-def hilbert_hankel(n: int) -> OperatorMatrix:
-    """Entries 1/(m + k + 1): real symmetric positive definite."""
+def hilbert_hankel(n: int) -> np.ndarray:
+    """Order-n section with entries 1/(m + k + 1): real symmetric positive definite."""
     if n < 0:
         raise ValueError("order must be >= 0")
     idx = np.arange(n + 1, dtype=float)
-    return OperatorMatrix(
-        entries=(1.0 / (idx[:, None] + idx[None, :] + 1.0)).astype(complex), order=n
-    )
+    return (1.0 / (idx[:, None] + idx[None, :] + 1.0)).astype(complex)
 
 
 def shift_matrix(n: int) -> np.ndarray:
@@ -79,7 +61,7 @@ def shift_matrix(n: int) -> np.ndarray:
 
 def operator_norm(m) -> float:
     """Largest singular value; power iteration above the full-SVD limit."""
-    a = _entries(m)
+    a = np.asarray(m, dtype=complex)
     if a.size == 0:
         return 0.0
     if max(a.shape) <= FULL_SVD_LIMIT + 1:
@@ -123,7 +105,7 @@ def null_space(m, rank_tol=RANK_TOL_FACTOR):
     ``rank_tol * max(largest singular value, 1)``.  Raises AmbiguousRank
     when the values around the cut are separated by less than GAP_FACTOR.
     """
-    a = _entries(m)
+    a = np.asarray(m, dtype=complex)
     n_cols = a.shape[1]
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     s_full = np.concatenate([s, np.zeros(n_cols - s.size)])
@@ -156,7 +138,7 @@ def hankel_intertwine_residual(phi: Symbol, n: int) -> float:
     Both sides of the defining relation have entry phi_hat(m + k + 1) on
     the common section, so the residual must vanish to rounding.
     """
-    h = hankel_matrix(phi, n + 1).entries
+    h = hankel_matrix(phi, n + 1)
     t = shift_matrix(n + 1)
     resid = t.conj().T @ h - h @ t
     return operator_norm(resid[: n + 1, : n + 1])

@@ -26,10 +26,20 @@ from .errors import KernelNotBeurling, TailBoundExceeded, WindowTooSmall, ZeroOu
 from .fourier import Symbol, analytic_symbol, conj_flip_symbol, symbol_from_laurent
 from .intertwine import gcd_symbol_theta
 from .model_space import beurling_basis, lower_toeplitz, tm_basis
-from .operators import RANK_TOL_FACTOR, hankel_matrix, null_space, shift_matrix
+from .operators import hankel_matrix, null_space, shift_matrix
 
 RESIDUAL_TOL = 1e-8
 TAIL_SAFETY = 10.0
+# resolve_trial doubles the order at most this many times.
+MAX_DOUBLINGS = 2
+# verify_kernel_identity's bound on the inclusion residual.
+INCLUSION_TARGET = 1e-9
+# kernel_divisor_check's bound on the misalignment of ker H_phi with w H^2.
+ALIGN_TOL = 1e-6
+# random_symbol_outside_model draws polynomials of this degree whose
+# component off the model space has at least this norm.
+OFF_MODEL_WINDOW = 8
+MIN_OFF_COMPONENT = 0.1
 
 
 @dataclass(frozen=True)
@@ -107,7 +117,7 @@ def _shift_images(u: BlaschkeProduct, phi: Symbol):
     w = phi.window
     coeffs, _ = taylor_coefficients(u, w)
     g = np.convolve(phi.laurent[w:], coeffs[::-1])[w:]
-    return hankel_matrix(analytic_symbol(g), w).entries, lower_toeplitz(coeffs)
+    return hankel_matrix(analytic_symbol(g), w), lower_toeplitz(coeffs)
 
 
 def check_invariance(u: BlaschkeProduct, phi: Symbol, n: int, residual_tol=RESIDUAL_TOL) -> InvarianceReport:
@@ -201,20 +211,20 @@ class TrialOutcome:
     resolved: bool
 
 
-def resolve_trial(check: Callable, u, phi_at: Callable, n0: int, residual_tol=RESIDUAL_TOL, max_doublings=2) -> TrialOutcome:
-    """Run a check, doubling the order until its verdicts are decisive.
+def resolve_trial(check: Callable, u, phi_at: Callable, n0: int) -> TrialOutcome:
+    """Run a check, doubling the order up to MAX_DOUBLINGS times until its verdicts are decisive.
 
     ``phi_at`` materializes the symbol consistently for each order, so a
     doubled run tests the same underlying function at a wider window.
     """
     n = n0
     report = None
-    for i in range(max_doublings + 1):
-        report = check(u, phi_at(n), n, residual_tol)
+    for i in range(MAX_DOUBLINGS + 1):
+        report = check(u, phi_at(n), n)
         if report.decisive:
             return TrialOutcome(report=report, doublings=i, resolved=True)
         n *= 2
-    return TrialOutcome(report=report, doublings=max_doublings, resolved=False)
+    return TrialOutcome(report=report, doublings=MAX_DOUBLINGS, resolved=False)
 
 
 def kernel_symbol(u: BlaschkeProduct, n: int) -> Symbol:
@@ -249,10 +259,10 @@ class KernelIdentityReport:
         return self.inclusion_holds and self.restricted_sigma_min > 0.0
 
 
-def verify_kernel_identity(u: BlaschkeProduct, n: int, inclusion_target=1e-9) -> KernelIdentityReport:
+def verify_kernel_identity(u: BlaschkeProduct, n: int) -> KernelIdentityReport:
     """Check ker H = u H^2 for the kernel symbol of u, of window 2n.
 
-    (a) every shift of u is annihilated within the target;
+    (a) every shift of u is annihilated within INCLUSION_TARGET;
     (b) the order-n section restricted to Q_u columns has smallest singular
     value bounded away from zero, so no extra kernel hides inside the model
     space.  Refuses when the symbol's truncation tail could spoil (a).
@@ -260,24 +270,24 @@ def verify_kernel_identity(u: BlaschkeProduct, n: int, inclusion_target=1e-9) ->
     if u.degree < 1:
         raise ValueError("u must be nonconstant")
     phi = kernel_symbol(u, 2 * n + 1)
-    if phi.tail_l1 > 0.1 * inclusion_target:
+    if phi.tail_l1 > 0.1 * INCLUSION_TARGET:
         raise TailBoundExceeded(
             f"kernel symbol tail {phi.tail_l1:.3e} at order {n} exceeds "
-            f"{0.1 * inclusion_target:.1e}; raise the order above {n}"
+            f"{0.1 * INCLUSION_TARGET:.1e}; raise the order above {n}"
         )
     images, _ = _shift_images(u, phi)
     inclusion = float(np.linalg.norm(images, axis=0).max())
     basis = tm_basis(u, n, tail_target=math.inf)
-    restricted = hankel_matrix(phi, n).entries @ basis.columns
+    restricted = hankel_matrix(phi, n) @ basis.columns
     sigma_min = float(np.linalg.svd(restricted, compute_uv=False)[-1])
     return KernelIdentityReport(
         u=u,
         order=n,
         k_range=(0, phi.window),
         inclusion_residual=inclusion,
-        inclusion_tolerance=float(inclusion_target),
+        inclusion_tolerance=INCLUSION_TARGET,
         restricted_sigma_min=sigma_min,
-        inclusion_holds=inclusion <= inclusion_target,
+        inclusion_holds=inclusion <= INCLUSION_TARGET,
     )
 
 
@@ -297,13 +307,7 @@ class DivisorCheckReport:
 
 
 def kernel_divisor_check(
-    phi: Symbol,
-    u: BlaschkeProduct,
-    n: int,
-    w: Optional[BlaschkeProduct] = None,
-    rank_tol=RANK_TOL_FACTOR,
-    align_tol=1e-6,
-    residual_tol=RESIDUAL_TOL,
+    phi: Symbol, u: BlaschkeProduct, n: int, w: Optional[BlaschkeProduct] = None
 ) -> DivisorCheckReport:
     """Confirm that u H^2 is invariant under H_phi exactly when w divides u.
 
@@ -313,8 +317,8 @@ def kernel_divisor_check(
     Raises KernelNotBeurling when the kernel does not align with w H^2.
     """
     phi.require_laurent()
-    h = hankel_matrix(phi, n).entries
-    kernel, _ = null_space(h, rank_tol)
+    h = hankel_matrix(phi, n)
+    kernel, _ = null_space(h)
     dim_kernel = kernel.shape[1]
     inferred = w is None
     if inferred:
@@ -342,14 +346,14 @@ def kernel_divisor_check(
         alignment = float(np.linalg.norm(misaligned, ord=2))
     else:
         alignment = 0.0
-    if alignment > align_tol:
+    if alignment > ALIGN_TOL:
         raise KernelNotBeurling(
-            f"kernel misaligned with w H^2 by {alignment:.3e} (tol {align_tol:.1e})"
+            f"kernel misaligned with w H^2 by {alignment:.3e} (tol {ALIGN_TOL:.1e})"
         )
     expected = divide(u, w) is not None
     images, _ = _shift_images(u, phi)
     observed_res = float(np.linalg.norm(images, axis=0).max())
-    tol = residual_tol + TAIL_SAFETY * phi.tail_l1
+    tol = RESIDUAL_TOL + TAIL_SAFETY * phi.tail_l1
     return DivisorCheckReport(
         u=u,
         w=w,
@@ -382,18 +386,17 @@ def random_symbol_in_model(v: BlaschkeProduct, seed: int, n: int) -> Symbol:
     )
 
 
-def random_symbol_outside_model(
-    v: BlaschkeProduct, seed: int, n: int, window=8, min_component=0.1
-) -> Symbol:
+def random_symbol_outside_model(v: BlaschkeProduct, seed: int, n: int) -> Symbol:
     """Seeded random analytic polynomial with a guaranteed component off Q_v."""
-    basis = tm_basis(v, max(n, 4 * window), tail_target=math.inf)
+    w = OFF_MODEL_WINDOW
+    basis = tm_basis(v, max(n, 4 * w), tail_target=math.inf)
     rng = np.random.default_rng(seed)
     for _ in range(64):
-        coeffs = rng.standard_normal(window + 1) + 1j * rng.standard_normal(window + 1)
+        coeffs = rng.standard_normal(w + 1) + 1j * rng.standard_normal(w + 1)
         coeffs /= np.linalg.norm(coeffs)
         vec = np.zeros(basis.order + 1, dtype=complex)
-        vec[: window + 1] = coeffs
+        vec[: w + 1] = coeffs
         off = vec - basis.columns @ (basis.columns.conj().T @ vec)
-        if np.linalg.norm(off) >= min_component:
+        if np.linalg.norm(off) >= MIN_OFF_COMPONENT:
             return analytic_symbol(coeffs, name=f"off-model sample(seed={seed})")
     raise RuntimeError("failed to draw a symbol with an off-model component")

@@ -29,17 +29,17 @@ def test_hankel_hilbert_small_section():
     expected = np.array(
         [[1, 1 / 2, 1 / 3], [1 / 2, 1 / 3, 1 / 4], [1 / 3, 1 / 4, 1 / 5]]
     )
-    assert np.allclose(h.entries, expected, atol=0)
+    assert np.allclose(h, expected, atol=0)
 
 
 def test_hankel_ignores_antianalytic_part():
     phi = symbol_from_laurent([(-1, 1.0), (-3, 2.0)])
-    assert not hankel_matrix(phi, 3).entries.any()
+    assert not hankel_matrix(phi, 3).any()
 
 
 def test_hankel_shift_symbol():
     h = hankel_matrix(symbol_from_laurent([(1, 1.0)]), 1)
-    assert np.array_equal(h.entries, np.array([[0, 1], [1, 0]], dtype=complex))
+    assert np.array_equal(h, np.array([[0, 1], [1, 0]], dtype=complex))
 
 
 def hankel_column_oracle(phi, n, col):
@@ -57,23 +57,23 @@ def test_hankel_matches_definition_on_monomials():
     for seed in range(5):
         phi = random_symbol(seed)
         n = 10
-        h = hankel_matrix(phi, n).entries
+        h = hankel_matrix(phi, n)
         for col in range(n + 1):
             assert np.allclose(h[:, col], hankel_column_oracle(phi, n, col), atol=1e-14)
 
 
 def test_toeplitz_identity_symbol():
     t = toeplitz_matrix(symbol_from_laurent([(0, 1.0)]), 4)
-    assert np.array_equal(t.entries, np.eye(5, dtype=complex))
+    assert np.array_equal(t, np.eye(5, dtype=complex))
 
 
 def test_toeplitz_shift_symbol():
     t = toeplitz_matrix(symbol_from_laurent([(1, 1.0)]), 3)
-    assert np.array_equal(t.entries, shift_matrix(3))
+    assert np.array_equal(t, shift_matrix(3))
 
 
 def test_toeplitz_real_part_symbol():
-    t = toeplitz_matrix(symbol_from_laurent([(1, 1.0), (-1, 1.0)]), 3).entries
+    t = toeplitz_matrix(symbol_from_laurent([(1, 1.0), (-1, 1.0)]), 3)
     expected = np.zeros((4, 4), dtype=complex)
     for i in range(3):
         expected[i + 1, i] = expected[i, i + 1] = 1.0
@@ -81,9 +81,9 @@ def test_toeplitz_real_part_symbol():
 
 
 def test_hilbert_hankel_small_orders():
-    assert np.array_equal(hilbert_hankel(0).entries, np.array([[1.0]], dtype=complex))
+    assert np.array_equal(hilbert_hankel(0), np.array([[1.0]], dtype=complex))
     assert np.allclose(
-        hilbert_hankel(1).entries, np.array([[1, 1 / 2], [1 / 2, 1 / 3]]), atol=0
+        hilbert_hankel(1), np.array([[1, 1 / 2], [1 / 2, 1 / 3]]), atol=0
     )
 
 
@@ -98,7 +98,7 @@ def test_hilbert_two_by_two_eigenvalues():
     lo, hi = quadratic_eigenvalues(1.0, 0.5, 0.5, 1 / 3)
     assert abs(lo - (4 - math.sqrt(13)) / 6) < 1e-15
     assert abs(hi - (4 + math.sqrt(13)) / 6) < 1e-15
-    svals = np.linalg.svd(hilbert_hankel(1).entries, compute_uv=False)
+    svals = np.linalg.svd(hilbert_hankel(1), compute_uv=False)
     assert abs(svals[-1] - lo) < 1e-14
     assert abs(svals[0] - hi) < 1e-14
 
@@ -183,8 +183,8 @@ def test_hankel_intertwine_residual_random():
 def test_hankel_adjoint_is_conjugate_symbol():
     for seed in range(5):
         phi = random_symbol(seed)
-        h = hankel_matrix(phi, 12).entries
-        h_adj = hankel_matrix(conj_flip_symbol(phi), 12).entries
+        h = hankel_matrix(phi, 12)
+        h_adj = hankel_matrix(conj_flip_symbol(phi), 12)
         assert np.array_equal(h_adj, h.conj().T)
 
 
@@ -192,10 +192,10 @@ def test_brown_halmos_on_sections():
     for seed in range(5):
         phi = random_symbol(seed)
         n = 14
-        t_big = toeplitz_matrix(phi, n + 1).entries
+        t_big = toeplitz_matrix(phi, n + 1)
         s = shift_matrix(n + 1)
         squeezed = (s.conj().T @ t_big @ s)[: n + 1, : n + 1]
-        assert np.array_equal(squeezed, toeplitz_matrix(phi, n).entries)
+        assert np.array_equal(squeezed, toeplitz_matrix(phi, n))
 
 
 def test_hilbert_norm_ladder():
@@ -206,7 +206,7 @@ def test_hilbert_norm_ladder():
 
 def test_hilbert_sections_positive():
     for m in (8, 64, 256):
-        svals = np.linalg.svd(hilbert_hankel(m).entries, compute_uv=False)
+        svals = np.linalg.svd(hilbert_hankel(m), compute_uv=False)
         assert svals[-1] > 0.0
 
 
