@@ -39,7 +39,7 @@ from .intertwine import (
     verify_block_lift,
 )
 from .model_space import tm_basis
-from .operators import hilbert_generator, hilbert_hankel
+from .operators import hilbert_generator, hilbert_hankel, hilbert_log10_minors
 from .subspaces import check_invariance, check_reducing, verify_kernel_identity
 from .suite import run_suite
 
@@ -56,7 +56,6 @@ class ExperimentConfig:
     order: int = 64
     rank_tol: float = 1e-8
     residual_tol: float = 1e-8
-    seed: int = 0
     out: Optional[str] = None
     format: str = "json"
 
@@ -74,7 +73,6 @@ class ExperimentConfig:
             "order": self.order,
             "rank_tol": self.rank_tol,
             "residual_tol": self.residual_tol,
-            "seed": self.seed,
             "format": self.format,
         }
 
@@ -159,13 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--order", type=int, help="truncation order N (default 64)")
     parser.add_argument("--rank-tol", type=float, help="relative rank cut (default 1e-8)")
     parser.add_argument("--residual-tol", type=float, help="residual tolerance (default 1e-8)")
-    parser.add_argument("--seed", type=int, help="seed for randomized payloads")
     parser.add_argument("--out", help="write the report to this path instead of stdout")
     parser.add_argument("--format", choices=["json", "csv-summary", "text"])
     return parser
 
 
-_CASTS = {"order": int, "seed": int, "rank_tol": float, "residual_tol": float, "out": str, "format": str}
+_CASTS = {"order": int, "rank_tol": float, "residual_tol": float, "out": str, "format": str}
 
 
 def load_config(argv) -> ExperimentConfig:
@@ -327,7 +324,6 @@ def _run_lift_check(cfg):
     rec = verify_block_lift(phi, basis)
     payload = {
         "u": u.text(),
-        "top_left_residual": 0.0,
         "off_diagonal_max": rec.off_diagonal_max,
         "norm_H": rec.norm_h,
         "norm_X": rec.norm_x,
@@ -396,12 +392,15 @@ def _run_toeplitz_fixed(cfg):
 
 
 def _run_hilbert(cfg):
-    svals = np.linalg.svd(hilbert_hankel(cfg.order), compute_uv=False)
-    norm, smallest = float(svals[0]), float(svals[-1])
-    payload = {"order": cfg.order, "norm": norm, "min_singular_value": smallest}
+    norm = float(np.linalg.svd(hilbert_hankel(cfg.order), compute_uv=False)[0])
+    minors = hilbert_log10_minors(cfg.order)
+    # Sylvester: positive definite iff every leading minor is positive; each
+    # is a positive product, so its logarithm is finite
+    positive = float(sum(math.isfinite(v) for v in minors))
+    payload = {"order": cfg.order, "norm": norm, "log10_det": minors[-1]}
     checks = [
         _check("norm below pi", bool(norm < np.pi), norm, float(np.pi)),
-        _check("positive definite section", bool(smallest > 0.0), smallest, 0.0),
+        _check("positive definite section", positive == len(minors), positive, float(len(minors))),
     ]
     return payload, checks
 
@@ -469,7 +468,7 @@ _CHECK_NOTES = {
     "no kernel in model space": "restriction of H to Q_u is injective",
     "fixed-point triviality": "S* X S = X forces X = 0 (Brown-Halmos + Coburn)",
     "norm below pi": "Hilbert matrix sections stay below the sharp bound pi",
-    "positive definite section": "truncated Hilbert matrix has trivial kernel",
+    "positive definite section": "every leading minor of the Hilbert section is positive",
 }
 
 

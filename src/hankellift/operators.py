@@ -51,6 +51,20 @@ def hilbert_hankel(n: int) -> np.ndarray:
     return (1.0 / (idx[:, None] + idx[None, :] + 1.0)).astype(complex)
 
 
+def hilbert_log10_minors(n: int) -> list:
+    """log10 det H_m of the leading minors, m = 1..n+1, of the order-n Hilbert section.
+
+    Each H_m is a Cauchy matrix, so det H_m = c_m^4 / c_{2m} with
+    c_m = prod_{i<m} i!: a ratio of positive products, summed here from
+    lgamma.  Every minor is therefore positive, which is Sylvester's
+    criterion for a positive definite section.
+    """
+    log_c = [0.0]  # ln c_m for m = 0..2n+2
+    for i in range(2 * n + 2):
+        log_c.append(log_c[-1] + math.lgamma(i + 1))
+    return [(4 * log_c[m] - log_c[2 * m]) / math.log(10) for m in range(1, n + 2)]
+
+
 def shift_matrix(n: int) -> np.ndarray:
     """Section of multiplication by z: entry (k+1, k) = 1."""
     s = np.zeros((n + 1, n + 1), dtype=complex)

@@ -30,6 +30,15 @@ def test_config_file_wins_with_warning(tmp_path, capsys):
     assert "overrides --command" in captured.err
 
 
+def test_no_seed_option(tmp_path, capsys):
+    # no command reads a seed, so neither the flag nor the config key exists
+    assert cli.main(["--command", "gcd", "--zeros", "0.5,0", "--seed", "1"]) == 2
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"command": "gcd", "zeros": "0.5,0", "seed": 1}))
+    assert cli.main(["--config", str(path)]) == 2
+    assert "unknown config key 'seed'" in capsys.readouterr().err
+
+
 def test_config_file_unknown_key(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({"command": "gcd", "bogus": 1}))
@@ -130,7 +139,8 @@ def test_hilbert_command(capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["payload"]["norm"] < 3.141592653589793
-    assert report["payload"]["min_singular_value"] > 0.0
+    assert abs(report["payload"]["log10_det"] + 9916.633) < 1e-3
+    assert report["checks"][1]["passed"] and report["checks"][1]["value"] == 129.0
 
 
 def test_json_reports_are_byte_identical():

@@ -8,6 +8,8 @@ code or any verdict or error of an existing report would change.
 """
 
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -96,6 +98,18 @@ def test_report_bytes_match_golden(case, tmp_path, monkeypatch):
     out = tmp_path / "report.json"
     assert cli.main(argv + ["--out", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / f"{case}.json").read_bytes()
+
+
+def test_hilbert_report_does_not_depend_on_blas_threads():
+    # the definiteness certificate is a closed form, so a single-threaded
+    # BLAS writes the same bytes as the multi-threaded run that made the golden
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    argv, _ = CASES["hilbert-128"]
+    run = subprocess.run(
+        [sys.executable, "-m", "hankellift.cli", *argv], env=env, capture_output=True, check=True
+    )
+    assert run.stdout == (GOLDEN / "hilbert-128.json").read_bytes()
 
 
 # report keys that hold a verdict or an error, at any depth

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hankellift.operators import (
     hankel_matrix,
     hilbert_generator,
     hilbert_hankel,
+    hilbert_log10_minors,
     null_space,
     operator_norm,
     shift_matrix,
@@ -208,6 +210,28 @@ def test_hilbert_sections_positive():
     for m in (8, 64, 256):
         svals = np.linalg.svd(hilbert_hankel(m), compute_uv=False)
         assert svals[-1] > 0.0
+
+
+def exact_det(rows):
+    """Oracle: determinant of a Fraction matrix by exact Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    det = Fraction(1)
+    for i in range(len(rows)):
+        pivot = rows[i][i]
+        det *= pivot
+        for r in rows[i + 1 :]:
+            factor = r[i] / pivot
+            r[i:] = [x - factor * y for x, y in zip(r[i:], rows[i][i:])]
+    return det
+
+
+def test_hilbert_minors_match_exact_determinants():
+    minors = hilbert_log10_minors(7)
+    assert len(minors) == 8
+    for m, value in enumerate(minors, start=1):
+        det = exact_det([[Fraction(1, i + j + 1) for j in range(m)] for i in range(m)])
+        assert det > 0
+        assert abs(value - math.log10(det)) < 1e-12
 
 
 def test_power_iteration_cap():
