@@ -7,7 +7,6 @@ from .blaschke import (
     BlaschkeProduct,
     conj_reflect,
     divide,
-    evaluate,
     gcd_inner,
     make_blaschke,
     monomial,
@@ -32,12 +31,10 @@ from .operators import (
     toeplitz_matrix,
 )
 from .model_space import (
-    BeurlingBasis,
     ModelSpaceBasis,
     beurling_basis,
     compress,
     compressed_shift,
-    subspace_intersection_dim,
     tm_basis,
 )
 from .intertwine import (

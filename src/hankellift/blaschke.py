@@ -85,15 +85,6 @@ def monomial(n: int) -> BlaschkeProduct:
     return make_blaschke([0.0] * n, (-1.0) ** n)
 
 
-def evaluate(b: BlaschkeProduct, z) -> complex:
-    """Pointwise value on the closed unit disk."""
-    z = complex(z)
-    value = complex(b.constant)
-    for a in b.zeros:
-        value *= (a - z) / (1.0 - np.conj(a) * z)
-    return value
-
-
 def conj_reflect(b: BlaschkeProduct) -> BlaschkeProduct:
     """The inner function whose Taylor coefficients are conjugated.
 

@@ -16,7 +16,7 @@ import numpy as np
 from .blaschke import BlaschkeProduct, conj_reflect, gcd_inner, taylor_coefficients
 from .errors import OrderMismatch
 from .fourier import Symbol, analytic_symbol
-from .model_space import ModelSpaceBasis, beurling_basis, compress, compressed_shift, tm_basis
+from .model_space import ModelSpaceBasis, compress, compressed_shift, tm_basis
 from .operators import RANK_TOL_FACTOR, RankGapReport, hankel_matrix, null_space, operator_norm
 
 
@@ -62,7 +62,7 @@ class BlockLiftRecord:
     """Residuals of the block decomposition of H_phi against diag(X, 0)."""
 
     x: np.ndarray  # X = B* H_phi B, the Q_u block
-    block_qb_norm: float  # Q_u rows against Beurling columns
+    block_qb_norm: float  # Q_u rows against u H^2 columns
     block_bq_norm: float
     block_bb_norm: float
     norm_h: float
@@ -76,18 +76,21 @@ class BlockLiftRecord:
 
 
 def verify_block_lift(phi: Symbol, basis: ModelSpaceBasis) -> BlockLiftRecord:
-    """Change basis to [Q_u | u H^2] and compare H_phi with diag(X, 0).
+    """Split H_phi along Q_u + u H^2 and compare it with diag(X, 0).
 
     X is the Q_u block itself, so the lift holds when the three blocks that
-    touch u H^2 vanish and the norms of H_phi and X agree.
+    touch u H^2 vanish and the norms of H_phi and X agree.  The u H^2
+    blocks come from the complement I - BB*, which is the projection onto
+    u H^2 to within the basis tail.
     """
     h = _section(phi, basis)
-    bq = basis.columns
-    bb = beurling_basis(basis.u, basis.order).columns
-    x = bq.conj().T @ h @ bq
-    g_qb = bq.conj().T @ h @ bb
-    g_bq = bb.conj().T @ h @ bq
-    g_bb = bb.conj().T @ h @ bb
+    b = basis.columns
+    b_adj = b.conj().T
+    bh = b_adj @ h
+    x = bh @ b
+    g_qb = bh - x @ b_adj
+    g_bq = h @ b - b @ x
+    g_bb = h - b @ bh - g_bq @ b_adj
     norm_h = operator_norm(h)
     norm_x = operator_norm(x)
     return BlockLiftRecord(

@@ -3,9 +3,11 @@
 The orthonormal basis of Q_u is the Takenaka-Malmquist system
 e_k = sqrt(1-|a_k|^2)/(1 - conj(a_k) z) * prod_{j<k} (z - a_j)/(1 - conj(a_j) z),
 which is triangular in the (canonically sorted) zero ordering and reduces
-to the monomials when every zero vanishes.  The Beurling complement u*H^2
-is represented by the truncated shifts u*z^k, re-orthonormalized so the
-basis contract holds at the working order.
+to the monomials when every zero vanishes.  The Beurling subspace u*H^2
+is the complement of Q_u: at the working order I - BB* projects onto it
+to within the basis tail.  ``beurling_basis`` spans the same section by
+the truncated shifts u*z^k, re-orthonormalized, for the kernel alignment
+of ``kernel_divisor_check``.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import BlaschkeProduct, series_tail_bound, taylor_coefficients
-from .errors import AmbiguousRank, OrderMismatch, TailBoundExceeded
-from .operators import GAP_FACTOR, shift_matrix
+from .errors import OrderMismatch, TailBoundExceeded
+from .operators import shift_matrix
 
 TAIL_TARGET = 1e-10
 ORDER_CAP = 1 << 14
@@ -27,7 +29,6 @@ class ModelSpaceBasis:
     """Orthonormal coefficient columns spanning Q_u at the given order."""
 
     columns: np.ndarray  # (order+1, degree)
-    u: BlaschkeProduct
     order: int
     column_tails: np.ndarray  # certified l1 tail of each column beyond the order
 
@@ -38,13 +39,6 @@ class ModelSpaceBasis:
     @property
     def tail_bound(self) -> float:
         return float(self.column_tails.max(initial=0.0))
-
-
-@dataclass(frozen=True)
-class BeurlingBasis:
-    """Orthonormal columns spanning the truncated shifts of u at the given order."""
-
-    columns: np.ndarray  # (order+1, order+1-degree)
 
 
 def tm_column_tails(u: BlaschkeProduct, order: int) -> np.ndarray:
@@ -87,7 +81,7 @@ def tm_basis(u: BlaschkeProduct, n: int, tail_target=TAIL_TARGET) -> ModelSpaceB
         factor[0] = -a
         factor[1:] = (1.0 - abs(a) ** 2) * np.conj(a) ** powers[:-1]
         partial = np.convolve(partial, factor)[: order + 1]
-    return ModelSpaceBasis(columns=cols, u=u, order=order, column_tails=tails)
+    return ModelSpaceBasis(columns=cols, order=order, column_tails=tails)
 
 
 def lower_toeplitz(coeffs, columns=None) -> np.ndarray:
@@ -116,7 +110,7 @@ def shifted_inner_columns(u: BlaschkeProduct, n: int, k_max=None):
     return lower_toeplitz(coeffs, k_max + 1), tails
 
 
-def beurling_basis(u: BlaschkeProduct, n: int) -> BeurlingBasis:
+def beurling_basis(u: BlaschkeProduct, n: int) -> np.ndarray:
     """Orthonormalized truncated shifts of u spanning the Beurling block.
 
     The raw shifts are orthonormal in the full inner product; truncation
@@ -127,7 +121,7 @@ def beurling_basis(u: BlaschkeProduct, n: int) -> BeurlingBasis:
     q, r = np.linalg.qr(raw)
     signs = np.sign(np.real(np.diag(r)))
     signs[signs == 0] = 1.0
-    return BeurlingBasis(columns=q * signs)
+    return q * signs
 
 
 def compressed_shift(basis: ModelSpaceBasis) -> np.ndarray:
@@ -144,25 +138,3 @@ def compress(m, basis: ModelSpaceBasis) -> np.ndarray:
         )
     return basis.columns.conj().T @ a @ basis.columns
 
-
-def subspace_intersection_dim(b1, b2, tol=1e-6) -> int:
-    """Dimension of span(b1) intersect span(b2) via the stacked-basis spectrum.
-
-    Squared singular values of [b1 b2] equal 1 +- cos(principal angles);
-    an intersection direction contributes a value at 2.  The factor-100
-    gap rule guards the count.
-    """
-    b1 = b1.columns if hasattr(b1, "columns") else np.asarray(b1)
-    b2 = b2.columns if hasattr(b2, "columns") else np.asarray(b2)
-    stacked = np.hstack([b1, b2])
-    s = np.linalg.svd(stacked, compute_uv=False)
-    defects = np.sort(np.abs(2.0 - s**2))
-    hits = defects[defects <= tol]
-    rest = defects[defects > tol]
-    if hits.size and rest.size:
-        top = hits.max()
-        if top > 0 and rest.min() / top < GAP_FACTOR:
-            raise AmbiguousRank(
-                f"intersection count ambiguous: defects {top:.3e} vs {rest.min():.3e}"
-            )
-    return int(hits.size)

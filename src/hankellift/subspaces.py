@@ -342,7 +342,7 @@ def kernel_divisor_check(
         )
     if dim_kernel:
         bw = beurling_basis(w, n)
-        misaligned = kernel - bw.columns @ (bw.columns.conj().T @ kernel)
+        misaligned = kernel - bw @ (bw.conj().T @ kernel)
         alignment = float(np.linalg.norm(misaligned, ord=2))
     else:
         alignment = 0.0

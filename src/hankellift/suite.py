@@ -107,10 +107,11 @@ def criterion_conjugate_pair() -> tuple[bool, str]:
 def criterion_block_lifting() -> tuple[bool, str]:
     """H_phi is diag(X, 0) in the [Q_u | uH^2] basis and the norms coincide."""
     basis1 = tm_basis(monomial(2), 64)
-    basis2 = tm_basis(make_blaschke([0.5j, -0.5j]), 64)
+    u2 = make_blaschke([0.5j, -0.5j])
+    basis2 = tm_basis(u2, 64)
     cases = [
         (basis1, analytic_symbol([0.0, 1.0])),
-        (basis2, lifting_symbol(basis2.u, 2 * basis2.order)),
+        (basis2, lifting_symbol(u2, 2 * basis2.order)),
     ]
     worst = 0.0
     for basis, phi in cases:

@@ -6,7 +6,6 @@ import pytest
 from hankellift.blaschke import (
     conj_reflect,
     divide,
-    evaluate,
     gcd_inner,
     make_blaschke,
     monomial,
@@ -15,6 +14,15 @@ from hankellift.blaschke import (
     taylor_coefficients,
 )
 from hankellift.errors import AmbiguousMatching, NonUnimodularConstant, ZeroOutsideDisk
+
+
+def evaluate(b, z) -> complex:
+    """Pointwise value of the product on the closed unit disk, factor by factor."""
+    z = complex(z)
+    value = complex(b.constant)
+    for a in b.zeros:
+        value *= (a - z) / (1.0 - np.conj(a) * z)
+    return value
 
 
 def circle_points(n=64):

@@ -100,16 +100,18 @@ def test_report_bytes_match_golden(case, tmp_path, monkeypatch):
     assert out.read_bytes() == (GOLDEN / f"{case}.json").read_bytes()
 
 
-def test_hilbert_report_does_not_depend_on_blas_threads():
-    # the definiteness certificate is a closed form, so a single-threaded
-    # BLAS writes the same bytes as the multi-threaded run that made the golden
+@pytest.mark.parametrize("case", ["hilbert-128", "lift-check-doubling"])
+def test_report_does_not_depend_on_blas_threads(case):
+    # a single-threaded BLAS writes the same bytes as the multi-threaded run
+    # that made the golden: the Hilbert definiteness certificate is a closed
+    # form, and the lift's u H^2 blocks come from the model-space columns
     src = str(Path(__file__).parents[1] / "src")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
-    argv, _ = CASES["hilbert-128"]
+    argv, _ = CASES[case]
     run = subprocess.run(
         [sys.executable, "-m", "hankellift.cli", *argv], env=env, capture_output=True, check=True
     )
-    assert run.stdout == (GOLDEN / "hilbert-128.json").read_bytes()
+    assert run.stdout == (GOLDEN / f"{case}.json").read_bytes()
 
 
 # report keys that hold a verdict or an error, at any depth

@@ -2,7 +2,13 @@ import cmath
 
 import numpy as np
 
-from hankellift.blaschke import evaluate, make_blaschke, monomial, random_blaschke
+from hankellift.blaschke import (
+    conj_reflect,
+    make_blaschke,
+    monomial,
+    random_blaschke,
+    taylor_coefficients,
+)
 from hankellift.fourier import analytic_symbol, symbol_from_laurent
 from hankellift.intertwine import (
     gcd_symbol_theta,
@@ -13,8 +19,9 @@ from hankellift.intertwine import (
     verify_block_lift,
 )
 from hankellift.fourier import materialize
-from hankellift.model_space import compress, compressed_shift, tm_basis
-from hankellift.operators import hilbert_generator, hilbert_hankel
+from hankellift.model_space import beurling_basis, compress, compressed_shift, tm_basis
+from hankellift.operators import hankel_matrix, hilbert_generator, hilbert_hankel, operator_norm
+from hankellift.subspaces import random_symbol_outside_model
 
 
 def test_gcd_theta_self_conjugate_monomial():
@@ -47,7 +54,7 @@ def test_lifting_symbol_sup_bound():
     u = make_blaschke([0.5j, -0.5j])
     phi = lifting_symbol(u, 128)
     theta = gcd_symbol_theta(u)
-    cap = 1.0 + abs(evaluate(theta, 0.0))
+    cap = 1.0 + abs(taylor_coefficients(theta, 0)[0][0])
     for j in range(64):
         w = cmath.exp(2j * cmath.pi * j / 64)
         value = sum(phi.coefficient(k) * w**k for k in range(phi.window + 1))
@@ -181,6 +188,28 @@ def test_block_lift_fails_for_hilbert_symbol():
     rec = verify_block_lift(materialize(hilbert_generator(), 2 * basis.order), basis)
     assert np.array_equal(rec.x, compress(hilbert_hankel(basis.order), basis))
     assert rec.off_diagonal_max > 0.1
+
+
+def test_block_lift_complement_matches_beurling_qr_blocks():
+    # the u H^2 blocks taken from I - BB* agree with those against the
+    # re-orthonormalized shifts of u, off the model space and on the lift
+    for seed in range(30):
+        u = random_blaschke(1000 + seed, max_degree=5, radius=0.8)
+        basis = tm_basis(u, 64)
+        b, bb = basis.columns, beurling_basis(u, basis.order)
+        symbols = [random_symbol_outside_model(conj_reflect(u), seed, 64)]
+        if gcd_symbol_theta(u).degree > 0:
+            symbols.append(lifting_symbol(u, 2 * basis.order))
+        for phi in symbols:
+            h = hankel_matrix(phi, basis.order)
+            rec = verify_block_lift(phi, basis)
+            reference = (
+                (rec.block_qb_norm, b.conj().T @ h @ bb),
+                (rec.block_bq_norm, bb.conj().T @ h @ b),
+                (rec.block_bb_norm, bb.conj().T @ h @ bb),
+            )
+            for norm, block in reference:
+                assert abs(norm - operator_norm(block)) <= 1e-12 + 10 * basis.tail_bound
 
 
 def toeplitz_map_oracle(s):
