@@ -172,7 +172,7 @@ def series_tail_bound(zeros, n, szego_alpha=None, scale=1.0):
 
     Optionally multiplied by a normalized Szego kernel 1/(1 - conj(a) z).
     Uses the submultiplicative weighted-l1 norm W_r = sum |c_k| r^k on a
-    grid of radii 1 < r < 1/rho, which gives tail <= min_r W_r / r^(n+1).
+    grid of radii 1 < r < 1/rho, all at once: tail <= min_r W_r / r^(n+1).
     The grid stops where r^(n+1) reaches 1e300, so the power never
     overflows to inf (which would certify a bound of 0).
     Exact polynomials (all zeros at the origin, no kernel factor) get 0.
@@ -185,15 +185,13 @@ def series_tail_bound(zeros, n, szego_alpha=None, scale=1.0):
         return 0.0 if n >= len(moduli) else float(abs(scale))
     top = min((1.0 / rho) * (1.0 - 1e-9), 10.0 ** (300.0 / (n + 1)))
     radii = np.geomspace(1.0 + 1e-6, top, TAIL_GRID)
-    best = np.inf
-    for r in radii:
-        w = float(abs(scale))
-        for aa in moduli:
-            w *= _factor_weight(aa, r)
-        if szego_alpha is not None:
-            w /= 1.0 - abs(szego_alpha) * r
-        best = min(best, w / r ** (n + 1))
-    return float(best)
+    w = np.full(TAIL_GRID, float(abs(scale)))
+    for aa in moduli:
+        w *= _factor_weight(aa, radii)
+    if szego_alpha is not None:
+        w /= 1.0 - abs(szego_alpha) * radii
+    # libm pow per radius: numpy's vectorized pow can differ in the last bit
+    return float(np.min(w / np.array([r ** (n + 1) for r in radii.tolist()])))
 
 
 def taylor_coefficients(b: BlaschkeProduct, n: int):

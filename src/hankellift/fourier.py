@@ -89,9 +89,7 @@ def materialize(phi: Symbol, window: int) -> Symbol:
             return phi
         c = phi.laurent[phi.window - window : phi.window + window + 1]
         return replace(phi, laurent=np.array(c), window=window)
-    c = np.zeros(2 * window + 1, dtype=complex)
-    for k in range(window + 1):
-        c[k + window] = phi.coefficient(k)
+    c = np.array([phi.coefficient(k) for k in range(-window, window + 1)])
     return Symbol(laurent=c, window=window, name=phi.name)
 
 

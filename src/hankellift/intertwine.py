@@ -126,15 +126,13 @@ class IntertwinerReport:
 
 
 def _hankel_structure_deviation(a: np.ndarray) -> float:
-    """Max spread of the entries on each antidiagonal."""
-    n = a.shape[0]
-    dev = 0.0
-    for k in range(2 * n - 1):
-        vals = [a[m, k - m] for m in range(max(0, k - n + 1), min(k, n - 1) + 1)]
-        if len(vals) > 1:
-            mean = sum(vals) / len(vals)
-            dev = max(dev, max(abs(v - mean) for v in vals))
-    return float(dev)
+    """Largest deviation of an entry from the mean of its antidiagonal; 0 if a is Hankel."""
+    k = np.add.outer(np.arange(a.shape[0]), np.arange(a.shape[1])).ravel()
+    f, counts = a.ravel(), np.bincount(k)
+    mean = (np.bincount(k, f.real) + 1j * np.bincount(k, f.imag)) / counts
+    # equal entries have spread 0, though their mean may round
+    varies = np.bincount(k, f != np.concatenate([a[0], a[1:, -1]])[k]) > 0
+    return float((np.abs(f - mean[k]) * varies[k]).max())
 
 
 def solve_intertwiner_space(u: BlaschkeProduct, n: int, rank_tol=RANK_TOL_FACTOR) -> IntertwinerReport:
@@ -153,13 +151,9 @@ def solve_intertwiner_space(u: BlaschkeProduct, n: int, rank_tol=RANK_TOL_FACTOR
     a = np.kron(eye, s.conj().T) - np.kron(s.T, eye)
     kernel, gap = null_space(a, rank_tol)
     solutions = [kernel[:, j].reshape(d, d, order="F") for j in range(kernel.shape[1])]
-    residuals = [
-        float(operator_norm(s.conj().T @ x - x @ s)) for x in solutions
-    ]
-    structure_dev = 0.0
-    for x in solutions:
-        embedded = basis.columns @ x @ basis.columns.conj().T
-        structure_dev = max(structure_dev, _hankel_structure_deviation(embedded))
+    residuals = [float(operator_norm(s.conj().T @ x - x @ s)) for x in solutions]
+    b = basis.columns
+    structure_dev = max((_hankel_structure_deviation(b @ x @ b.conj().T) for x in solutions), default=0.0)
 
     theta = gcd_symbol_theta(u)
     gcd_residual = None

@@ -24,16 +24,26 @@ GAP_FACTOR = 100.0
 RANK_TOL_FACTOR = 1e-8
 
 
+def _coefficients(phi: Symbol, lo: int, hi: int) -> np.ndarray:
+    """phi_hat(lo..hi), lo <= 0 <= hi: a zero-padded slice of a Laurent window."""
+    if not phi.is_laurent:
+        return np.array([phi.coefficient(k) for k in range(lo, hi + 1)])
+    c = np.zeros(hi - lo + 1, dtype=complex)
+    a, b = max(lo, -phi.window), min(hi, phi.window)
+    c[a - lo : b - lo + 1] = phi.laurent[a + phi.window : b + phi.window + 1]
+    return c
+
+
 def hankel_matrix(phi: Symbol, n: int) -> np.ndarray:
     """Order-n section with entry(m, k) = phi_hat(m + k); depends only on P_+ phi."""
-    c = np.array([phi.coefficient(k) for k in range(2 * n + 1)])
+    c = _coefficients(phi, 0, 2 * n)
     idx = np.arange(n + 1)
     return c[idx[:, None] + idx[None, :]]
 
 
 def toeplitz_matrix(phi: Symbol, n: int) -> np.ndarray:
     """Order-n section with entry(m, k) = phi_hat(m - k)."""
-    c = np.array([phi.coefficient(k) for k in range(-n, n + 1)])
+    c = _coefficients(phi, -n, n)
     idx = np.arange(n + 1)
     return c[idx[:, None] - idx[None, :] + n]
 

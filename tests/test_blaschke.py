@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from hankellift.blaschke import (
+    TAIL_GRID,
+    _factor_weight,
     conj_reflect,
     divide,
     gcd_inner,
@@ -210,6 +212,47 @@ def test_tail_bound_stays_positive_for_small_zeros():
             bound = series_tail_bound([a], n)
             exact_log10 = np.log10(1 - a * a) + n * np.log10(a) - np.log10(1 - a)
             assert 0.0 < bound < 1.0 and np.log10(bound) >= exact_log10, (a, n)
+
+
+def scalar_tail_bound(zeros, n, szego_alpha=None, scale=1.0):
+    """Reference: series_tail_bound's weighted-l1 bound, one radius at a time."""
+    moduli = [abs(a) for a in zeros]
+    rho = max(moduli, default=0.0)
+    if szego_alpha is not None:
+        rho = max(rho, abs(szego_alpha))
+    if rho == 0.0:
+        return 0.0 if n >= len(moduli) else float(abs(scale))
+    top = min((1.0 / rho) * (1.0 - 1e-9), 10.0 ** (300.0 / (n + 1)))
+    best = np.inf
+    for r in np.geomspace(1.0 + 1e-6, top, TAIL_GRID):
+        w = float(abs(scale))
+        for aa in moduli:
+            w *= _factor_weight(aa, r)
+        if szego_alpha is not None:
+            w /= 1.0 - abs(szego_alpha) * r
+        best = min(best, w / r ** (n + 1))
+    return float(best)
+
+
+def test_tail_bound_matches_the_scalar_loop_bit_for_bit():
+    # the 64 radii are evaluated as one array in the scalar loop's order of
+    # operations, so every bound is the same double
+    rng = np.random.default_rng(17)
+    cases = [([a], n, None, 1.0) for a in (1.3e-3, 4e-3, 0.05) for n in (64, 129, 257)]
+    for degree in range(7):
+        radii = rng.uniform(0.0, 0.9499, degree)
+        radii[:1] = 0.9499
+        drawn = list(radii * np.exp(2j * np.pi * rng.random(degree)))
+        for zeros in (drawn, [0.0] * degree, drawn[:1] + [0.0] * (degree - 1)):
+            for n in (0, 1, 16, 64, 129, 257, 1024):
+                for alpha in (None, 0.0, complex(0.3, -0.8), 0.9499j):
+                    for scale in (1.0, complex(-0.6, 1.7)):
+                        cases.append((zeros, n, alpha, scale))
+    for zeros, n, alpha, scale in cases:
+        bound = series_tail_bound(zeros, n, szego_alpha=alpha, scale=scale)
+        reference = scalar_tail_bound(zeros, n, szego_alpha=alpha, scale=scale)
+        assert type(bound) is float
+        assert bound.hex() == reference.hex(), (zeros, n, alpha, scale)
 
 
 def test_reflection_gcd_detects_conjugate_pairs():

@@ -11,6 +11,7 @@ from hankellift.blaschke import (
 )
 from hankellift.fourier import analytic_symbol, symbol_from_laurent
 from hankellift.intertwine import (
+    _hankel_structure_deviation,
     gcd_symbol_theta,
     intertwiner_from_symbol,
     lifting_symbol,
@@ -138,12 +139,49 @@ def test_solve_conjugate_pair_contains_both_constructions():
     assert np.linalg.svd(stacked, compute_uv=False)[1] > 1e-6
 
 
+def antidiagonal_spread_oracle(a):
+    """Reference: the spread about the mean, one antidiagonal list at a time."""
+    n = a.shape[0]
+    dev = 0.0
+    for k in range(2 * n - 1):
+        vals = [a[m, k - m] for m in range(max(0, k - n + 1), min(k, n - 1) + 1)]
+        if len(vals) > 1:
+            mean = sum(vals) / len(vals)
+            dev = max(dev, max(abs(v - mean) for v in vals))
+    return float(dev)
+
+
+def test_antidiagonal_spread_matches_the_loop():
+    # the means are summed in another order, so the two agree to rounding
+    rng = np.random.default_rng(3)
+    for n in range(1, 71):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        tol = 4 * np.finfo(float).eps * np.abs(a).max()
+        assert abs(_hankel_structure_deviation(a) - antidiagonal_spread_oracle(a)) <= tol
+
+
+def test_antidiagonal_spread_on_hankel_sections_and_one_perturbed_entry():
+    eps = np.finfo(float).eps
+    for n in (0, 1, 8, 64):
+        # integer coefficients: every antidiagonal sum and mean is exact
+        exact = [(k, complex(k % 5 - 2, 3 - k % 7)) for k in range(-3, 2 * n + 2)]
+        h = hankel_matrix(symbol_from_laurent(exact), n)
+        assert _hankel_structure_deviation(h) == 0.0
+        # other coefficients: the mean of n + 1 equal entries may round
+        generic = [(k, complex(np.cos(k + 0.1), np.sin(3 * k))) for k in range(-3, 2 * n + 2)]
+        g = hankel_matrix(symbol_from_laurent(generic), n)
+        assert _hankel_structure_deviation(g) <= (n + 1) * eps * np.abs(g).max()
+        if n:
+            h[n, 0] += 1e-9  # on the longest antidiagonal, of n + 1 entries
+            assert _hankel_structure_deviation(h) >= 0.5e-9
+
+
 def test_solutions_embed_with_hankel_structure():
     for seed in (1, 4, 7):
         u = random_blaschke(seed, max_degree=4, radius=0.7, plant_pair=True)
         rep = solve_intertwiner_space(u, 64)
         assert rep.solution_dim > 0
-        assert rep.hankel_structure_dev <= 1e-8
+        assert rep.hankel_structure_dev <= 1e-13
 
 
 def test_existence_dichotomy_sample():

@@ -82,6 +82,19 @@ def test_toeplitz_real_part_symbol():
     assert np.array_equal(t, expected)
 
 
+@pytest.mark.parametrize("window", [3, 16, 40], ids=["window<2n", "window=2n", "window>2n"])
+def test_sections_match_the_per_coefficient_build(window):
+    # the sections slice a Laurent window in one step; the reference reads
+    # phi.coefficient one index at a time, as generator symbols still do
+    n = 8
+    for phi in (random_symbol(window, window), hilbert_generator()):
+        hankel = np.array([[phi.coefficient(m + k) for k in range(n + 1)] for m in range(n + 1)])
+        toeplitz = np.array([[phi.coefficient(m - k) for k in range(n + 1)] for m in range(n + 1)])
+        assert np.array_equal(hankel_matrix(phi, n), hankel)
+        assert np.array_equal(toeplitz_matrix(phi, n), toeplitz)
+        assert hankel_matrix(phi, n).dtype == toeplitz_matrix(phi, n).dtype == complex
+
+
 def test_hilbert_hankel_small_orders():
     assert np.array_equal(hilbert_hankel(0), np.array([[1.0]], dtype=complex))
     assert np.allclose(
