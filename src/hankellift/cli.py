@@ -43,6 +43,9 @@ from .operators import hilbert_generator, hilbert_hankel, hilbert_log10_minors
 from .subspaces import check_invariance, check_reducing, verify_kernel_identity
 from .suite import run_suite
 
+# Largest --order accepted: a (4097 x 4097) complex section takes 268 MB.
+MAX_ORDER = 4096
+
 REFUSALS = (AmbiguousRank, TailBoundExceeded, NoConvergence, AmbiguousMatching, KernelNotBeurling)
 
 
@@ -217,8 +220,8 @@ def load_config(argv) -> ExperimentConfig:
             raise ConfigInvalid(f"unknown generator {values['generator']!r}")
         cfg.generator = values["generator"]
 
-    if cfg.order < 1:
-        raise ConfigInvalid("order must be >= 1")
+    if not 1 <= cfg.order <= MAX_ORDER:
+        raise ConfigInvalid(f"order must be between 1 and {MAX_ORDER}")
     if cfg.rank_tol <= 0 or cfg.residual_tol <= 0:
         raise ConfigInvalid("tolerances must be positive")
     if cfg.format not in ("json", "csv-summary", "text"):

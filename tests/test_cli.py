@@ -83,6 +83,13 @@ def test_invalid_order_rejected():
         cli.load_config(["--command", "gcd", "--order", "0"])
 
 
+def test_order_above_the_cap_is_refused_before_any_work(capsys):
+    assert cli.load_config(["--command", "hilbert", "--order", str(cli.MAX_ORDER)]).order == 4096
+    # a 4098^2 complex Hilbert section would take 269 MB; nothing is built
+    assert cli.main(["--command", "hilbert", "--order", "4097"]) == 2
+    assert "order must be between 1 and 4096" in capsys.readouterr().err
+
+
 def test_main_exit_2_on_config_error(capsys):
     assert cli.main(["--command", "intertwine"]) == 2  # missing zeros
     assert "config error" in capsys.readouterr().err
