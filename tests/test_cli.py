@@ -85,7 +85,7 @@ def test_invalid_order_rejected():
 
 def test_order_above_the_cap_is_refused_before_any_work(capsys):
     assert cli.load_config(["--command", "hilbert", "--order", str(cli.MAX_ORDER)]).order == 4096
-    # a 4098^2 complex Hilbert section would take 269 MB; nothing is built
+    # refused by load_config, before the 4098 x 4098 section is built
     assert cli.main(["--command", "hilbert", "--order", "4097"]) == 2
     assert "order must be between 1 and 4096" in capsys.readouterr().err
 
