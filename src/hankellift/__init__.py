@@ -17,12 +17,10 @@ from .fourier import (
     Symbol,
     analytic_symbol,
     conj_flip_symbol,
-    generator_symbol,
     materialize,
     symbol_from_laurent,
 )
 from .operators import (
-    hankel_intertwine_residual,
     hankel_matrix,
     hilbert_generator,
     hilbert_hankel,

@@ -39,7 +39,7 @@ from .intertwine import (
     verify_block_lift,
 )
 from .model_space import tm_basis
-from .operators import hilbert_generator, hilbert_hankel, hilbert_log10_minors
+from .operators import hilbert_generator, hilbert_hankel, hilbert_log10_minors, operator_norm
 from .subspaces import check_invariance, check_reducing, verify_kernel_identity
 from .suite import run_suite
 
@@ -166,6 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _CASTS = {"order": int, "rank_tol": float, "residual_tol": float, "out": str, "format": str}
+# the JSON values each cast accepts: an order must be an integer, a tolerance
+# any number; a bool, though an int in Python, is neither
+_ACCEPTS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
 
 
 def load_config(argv) -> ExperimentConfig:
@@ -206,11 +209,16 @@ def load_config(argv) -> ExperimentConfig:
             cfg.constant = _parse_complex_pair(raw_const)
         elif raw_const is not None:
             cfg.constant = _config_pair(raw_const)
-        for key, cast in _CASTS.items():
-            if values[key] is not None:
-                setattr(cfg, key, cast(values[key]))
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad config value: {exc}")
+    for key, cast in _CASTS.items():
+        value = values[key]
+        if value is None:
+            continue
+        types, kind = _ACCEPTS[cast]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigInvalid(f"bad config value: {key} = {value!r} is not {kind}")
+        setattr(cfg, key, cast(value))
     if isinstance(raw_sym, str):
         cfg.symbol_pairs = _load_symbol_file(raw_sym)
     elif raw_sym is not None:
@@ -222,8 +230,8 @@ def load_config(argv) -> ExperimentConfig:
 
     if not 1 <= cfg.order <= MAX_ORDER:
         raise ConfigInvalid(f"order must be between 1 and {MAX_ORDER}")
-    if cfg.rank_tol <= 0 or cfg.residual_tol <= 0:
-        raise ConfigInvalid("tolerances must be positive")
+    if not (0 < cfg.rank_tol < math.inf and 0 < cfg.residual_tol < math.inf):
+        raise ConfigInvalid("tolerances must be positive and finite")
     if cfg.format not in ("json", "csv-summary", "text"):
         raise ConfigInvalid(f"unknown format {cfg.format!r}")
     return cfg
@@ -395,7 +403,7 @@ def _run_toeplitz_fixed(cfg):
 
 
 def _run_hilbert(cfg):
-    norm = float(np.linalg.svd(hilbert_hankel(cfg.order), compute_uv=False)[0])
+    norm = operator_norm(hilbert_hankel(cfg.order))
     minors = hilbert_log10_minors(cfg.order)
     # Sylvester: positive definite iff every leading minor is positive; each
     # is a positive product, so its logarithm is finite

@@ -21,10 +21,6 @@ class TailBoundExceeded(HankelLiftError):
     """A certified truncation tail bound exceeds the requested target."""
 
 
-class GeneratorNotMaterialized(HankelLiftError):
-    """Operation requires a Laurent-form symbol; materialize the generator first."""
-
-
 class WindowTooSmall(HankelLiftError):
     """Coefficient window is too small for an exact (or certified) result."""
 

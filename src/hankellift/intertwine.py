@@ -39,12 +39,11 @@ def lifting_symbol(u: BlaschkeProduct, n: int, j: int = 1) -> Optional[Symbol]:
     if theta.degree == 0:
         return None
     coeffs, tail = taylor_coefficients(theta, n + j)
-    return analytic_symbol(coeffs[j:], tail_l1=tail, name=f"backshift^{j} gcd")
+    return analytic_symbol(coeffs[j:], tail_l1=tail)
 
 
 def _section(phi: Symbol, basis: ModelSpaceBasis) -> np.ndarray:
     """H_phi at the order of the basis; refuses a window the section cannot hold."""
-    phi.require_laurent()
     if phi.window > 2 * basis.order:
         raise OrderMismatch(
             f"symbol window {phi.window} exceeds 2x basis order {basis.order}"

@@ -56,20 +56,12 @@ def tm_column_tails(u: BlaschkeProduct, order: int) -> np.ndarray:
     )
 
 
-def tm_basis(u: BlaschkeProduct, n: int, tail_target=TAIL_TARGET) -> ModelSpaceBasis:
-    """Takenaka-Malmquist basis of Q_u, doubling the order up to ORDER_CAP for the tail target."""
-    order = n
-    tails = tm_column_tails(u, order)
-    while tails.max(initial=0.0) > tail_target and order < ORDER_CAP:
-        order = min(2 * order, ORDER_CAP)
-        tails = tm_column_tails(u, order)
-    if tails.max(initial=0.0) > tail_target:
-        raise TailBoundExceeded(
-            f"basis tail at the order cap {ORDER_CAP} still exceeds {tail_target:.1e} "
-            f"for {u.text()}"
-        )
-    d = u.degree
-    cols = np.zeros((order + 1, d), dtype=complex)
+def tm_columns(u: BlaschkeProduct, order: int) -> np.ndarray:
+    """The Takenaka-Malmquist columns of Q_u cut to the order, with no tail certified.
+
+    They give the inner products <f, e_k> exactly for every f of degree <= order.
+    """
+    cols = np.zeros((order + 1, u.degree), dtype=complex)
     partial = np.zeros(order + 1, dtype=complex)
     partial[0] = 1.0
     powers = np.arange(order + 1)
@@ -81,7 +73,22 @@ def tm_basis(u: BlaschkeProduct, n: int, tail_target=TAIL_TARGET) -> ModelSpaceB
         factor[0] = -a
         factor[1:] = (1.0 - abs(a) ** 2) * np.conj(a) ** powers[:-1]
         partial = np.convolve(partial, factor)[: order + 1]
-    return ModelSpaceBasis(columns=cols, order=order, column_tails=tails)
+    return cols
+
+
+def tm_basis(u: BlaschkeProduct, n: int) -> ModelSpaceBasis:
+    """Takenaka-Malmquist basis of Q_u, doubling the order up to ORDER_CAP for TAIL_TARGET."""
+    order = n
+    tails = tm_column_tails(u, order)
+    while tails.max(initial=0.0) > TAIL_TARGET and order < ORDER_CAP:
+        order = min(2 * order, ORDER_CAP)
+        tails = tm_column_tails(u, order)
+    if tails.max(initial=0.0) > TAIL_TARGET:
+        raise TailBoundExceeded(
+            f"basis tail at the order cap {ORDER_CAP} still exceeds {TAIL_TARGET:.1e} "
+            f"for {u.text()}"
+        )
+    return ModelSpaceBasis(columns=tm_columns(u, order), order=order, column_tails=tails)
 
 
 def lower_toeplitz(coeffs, columns=None) -> np.ndarray:

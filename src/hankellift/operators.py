@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousRank, NoConvergence
-from .fourier import Symbol, generator_symbol
+from .fourier import Symbol
 
 # Full SVD is used up to this dimension; beyond it a power iteration
 # computes the norm (desk-scale correctness beats asymptotic speed).
@@ -26,8 +26,6 @@ RANK_TOL_FACTOR = 1e-8
 
 def _coefficients(phi: Symbol, lo: int, hi: int) -> np.ndarray:
     """phi_hat(lo..hi), lo <= 0 <= hi: a zero-padded slice of a Laurent window."""
-    if not phi.is_laurent:
-        return np.array([phi.coefficient(k) for k in range(lo, hi + 1)])
     c = np.zeros(hi - lo + 1, dtype=complex)
     a, b = max(lo, -phi.window), min(hi, phi.window)
     c[a - lo : b - lo + 1] = phi.laurent[a + phi.window : b + phi.window + 1]
@@ -48,9 +46,9 @@ def toeplitz_matrix(phi: Symbol, n: int) -> np.ndarray:
     return c[idx[:, None] - idx[None, :] + n]
 
 
-def hilbert_generator() -> Symbol:
-    """The Hilbert Hankel coefficients k -> 1/(k+1), exposed only as a generator."""
-    return generator_symbol(lambda k: 1.0 / (k + 1), name="hilbert")
+def hilbert_generator():
+    """The Hilbert Hankel coefficient rule k -> 1/(k+1), for ``materialize`` on a window."""
+    return lambda k: 1.0 / (k + 1)
 
 
 def hilbert_hankel(n: int) -> np.ndarray:
@@ -154,15 +152,3 @@ def null_space(m, rank_tol=RANK_TOL_FACTOR):
         )
     basis = vh[n_cols - dim :, :].conj().T if dim else np.zeros((n_cols, 0), dtype=complex)
     return basis, report
-
-
-def hankel_intertwine_residual(phi: Symbol, n: int) -> float:
-    """Norm of the top-left n-section of T_z^* H - H T_z, built from order n+1.
-
-    Both sides of the defining relation have entry phi_hat(m + k + 1) on
-    the common section, so the residual must vanish to rounding.
-    """
-    h = hankel_matrix(phi, n + 1)
-    t = shift_matrix(n + 1)
-    resid = t.conj().T @ h - h @ t
-    return operator_norm(resid[: n + 1, : n + 1])

@@ -8,7 +8,6 @@ indecisive trials are meant to be re-run at a doubled order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,7 +24,7 @@ from .blaschke import (
 from .errors import KernelNotBeurling, TailBoundExceeded, WindowTooSmall, ZeroOutsideDisk
 from .fourier import Symbol, analytic_symbol, conj_flip_symbol, symbol_from_laurent
 from .intertwine import gcd_symbol_theta
-from .model_space import beurling_basis, lower_toeplitz, tm_basis
+from .model_space import beurling_basis, lower_toeplitz, tm_column_tails, tm_columns
 from .operators import hankel_matrix, null_space, shift_matrix
 
 RESIDUAL_TOL = 1e-8
@@ -128,14 +127,13 @@ def check_invariance(u: BlaschkeProduct, phi: Symbol, n: int, residual_tol=RESID
     """
     if u.degree < 1:
         raise ValueError("u must be nonconstant")
-    phi.require_laurent()
     w = phi.window
     if w > n:
         raise WindowTooSmall(f"symbol window {w} exceeds the order {n}")
     images, shifts = _shift_images(u, phi)
     # the images have degree <= W, so the first W+1 coefficients of the
     # orthonormal TM columns give their Q_u = (I - P_{uH^2}) component exactly
-    model = tm_basis(u, w, tail_target=math.inf).columns
+    model = tm_columns(u, w)
     tol = residual_tol + TAIL_SAFETY * phi.tail_l1
     return InvarianceReport(
         u=u,
@@ -240,7 +238,6 @@ def kernel_symbol(u: BlaschkeProduct, n: int) -> Symbol:
         [(k - 1, c) for k, c in enumerate(coeffs)],
         window=max(n - 1, 1),
         tail_l1=tail,
-        name="kernel symbol",
     )
 
 
@@ -277,8 +274,7 @@ def verify_kernel_identity(u: BlaschkeProduct, n: int) -> KernelIdentityReport:
         )
     images, _ = _shift_images(u, phi)
     inclusion = float(np.linalg.norm(images, axis=0).max())
-    basis = tm_basis(u, n, tail_target=math.inf)
-    restricted = hankel_matrix(phi, n) @ basis.columns
+    restricted = hankel_matrix(phi, n) @ tm_columns(u, n)
     sigma_min = float(np.linalg.svd(restricted, compute_uv=False)[-1])
     return KernelIdentityReport(
         u=u,
@@ -316,7 +312,6 @@ def kernel_divisor_check(
     shift compressed to the orthogonal complement of the numerical kernel.
     Raises KernelNotBeurling when the kernel does not align with w H^2.
     """
-    phi.require_laurent()
     h = hankel_matrix(phi, n)
     kernel, _ = null_space(h)
     dim_kernel = kernel.shape[1]
@@ -374,29 +369,24 @@ def random_symbol_in_model(v: BlaschkeProduct, seed: int, n: int) -> Symbol:
     """
     if v.degree < 1:
         raise ValueError("v must be nonconstant")
-    basis = tm_basis(v, n, tail_target=math.inf)
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(v.degree) + 1j * rng.standard_normal(v.degree)
     c /= np.linalg.norm(c)
-    coeffs = basis.columns @ c
-    return analytic_symbol(
-        coeffs,
-        tail_l1=float(np.abs(c) @ basis.column_tails),
-        name=f"model sample(seed={seed})",
-    )
+    return analytic_symbol(tm_columns(v, n) @ c, tail_l1=float(np.abs(c) @ tm_column_tails(v, n)))
 
 
 def random_symbol_outside_model(v: BlaschkeProduct, seed: int, n: int) -> Symbol:
     """Seeded random analytic polynomial with a guaranteed component off Q_v."""
     w = OFF_MODEL_WINDOW
-    basis = tm_basis(v, max(n, 4 * w), tail_target=math.inf)
+    order = max(n, 4 * w)
+    columns = tm_columns(v, order)
     rng = np.random.default_rng(seed)
     for _ in range(64):
         coeffs = rng.standard_normal(w + 1) + 1j * rng.standard_normal(w + 1)
         coeffs /= np.linalg.norm(coeffs)
-        vec = np.zeros(basis.order + 1, dtype=complex)
+        vec = np.zeros(order + 1, dtype=complex)
         vec[: w + 1] = coeffs
-        off = vec - basis.columns @ (basis.columns.conj().T @ vec)
+        off = vec - columns @ (columns.conj().T @ vec)
         if np.linalg.norm(off) >= MIN_OFF_COMPONENT:
-            return analytic_symbol(coeffs, name=f"off-model sample(seed={seed})")
+            return analytic_symbol(coeffs)
     raise RuntimeError("failed to draw a symbol with an off-model component")

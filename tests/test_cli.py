@@ -22,10 +22,11 @@ def test_load_config_requires_command():
 
 def test_config_file_wins_with_warning(tmp_path, capsys):
     path = tmp_path / "exp.json"
-    path.write_text(json.dumps({"command": "gcd", "order": 32}))
+    path.write_text(json.dumps({"command": "gcd", "order": 32, "rank_tol": 1}))
     cfg = cli.load_config(["--config", str(path), "--command", "hilbert", "--zeros", "0.1,0"])
     captured = capsys.readouterr()
     assert cfg.command == "gcd" and cfg.order == 32
+    assert cfg.rank_tol == 1.0 and isinstance(cfg.rank_tol, float)  # a JSON integer is a number
     assert cfg.zeros == [0.1 + 0j]
     assert "overrides --command" in captured.err
 
@@ -54,6 +55,12 @@ def test_config_file_unknown_key(tmp_path):
         ({"command": "invariance", "zeros": "0,0;0,0"}, [["a", 1, 2]]),
         ({"command": "gcd", "zeros": [[0.5, 0, 9]]}, None),
         ({"command": "gcd", "zeros": "0.5,0", "constant": [1, 0, 0]}, None),
+        # an order is a JSON integer and a tolerance a JSON number; neither is a bool
+        ({"command": "gcd", "zeros": "0.5,0", "order": 64.5}, None),
+        ({"command": "gcd", "zeros": "0.5,0", "order": True}, None),
+        ({"command": "gcd", "zeros": "0.5,0", "order": "64"}, None),
+        ({"command": "gcd", "zeros": "0.5,0", "rank_tol": True}, None),
+        ({"command": "gcd", "zeros": "0.5,0", "residual_tol": float("nan")}, None),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, config, symbol):
@@ -216,6 +223,28 @@ def test_lift_check_command_default_symbol(capsys, flags):
     assert report["payload"]["off_diagonal_max"] < 1e-8
     assert report["payload"]["norm_gap"] < 1e-8
     assert report["checks"][0]["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "command,zeros,window",
+    [
+        ("invariance", "0.3,0.5;0.3,-0.5;0.2,0", 32),  # window order // 2 at order 64
+        ("reduce", "0.3,0.5;0.3,-0.5", 32),
+        ("lift-check", "0,0.5;0,-0.5", 128),  # window 2 x the basis order, 64 here
+    ],
+)
+def test_generator_gives_the_report_of_its_coefficient_file(tmp_path, command, zeros, window):
+    # a rule reaches the checks only as the Laurent window it is materialized on
+    path = tmp_path / "hilbert.json"
+    path.write_text(json.dumps([[k, 1.0 / (k + 1), 0.0] for k in range(window + 1)]))
+    base = ["--command", command, "--zeros", zeros]
+    by_rule, by_file = (
+        cli.run_experiment(cli.load_config(base + extra))
+        for extra in (["--generator", "hilbert"], ["--symbol-coeffs", str(path)])
+    )
+    assert by_rule.error is None and by_rule.checks
+    assert by_rule.payload == by_file.payload and by_rule.checks == by_file.checks
+    assert by_rule.payload.get("order", 64) == 64  # lift-check's window assumes no doubling
 
 
 def test_lift_check_command_trivial_gcd(capsys):

@@ -1,7 +1,5 @@
 import numpy as np
-import pytest
 
-from hankellift.errors import GeneratorNotMaterialized
 from hankellift.fourier import analytic_symbol, conj_flip_symbol, materialize, symbol_from_laurent
 from hankellift.operators import hilbert_generator
 
@@ -36,14 +34,9 @@ def test_conj_flip_involution():
     assert np.array_equal(conj_flip_symbol(conj_flip_symbol(phi)).laurent, phi.laurent)
 
 
-def test_conj_flip_requires_laurent():
-    with pytest.raises(GeneratorNotMaterialized):
-        conj_flip_symbol(hilbert_generator())
-
-
 def test_materialize_hilbert():
     phi = materialize(hilbert_generator(), 5)
-    assert phi.is_laurent and phi.window == 5
+    assert phi.window == 5 and phi.laurent.size == 11
     for k in range(-5, 6):
         expected = 1.0 / (k + 1) if k >= 0 else 0.0
         assert phi.coefficient(k) == expected

@@ -11,6 +11,7 @@ from hankellift.model_space import (
     compressed_shift,
     shifted_inner_columns,
     tm_basis,
+    tm_columns,
 )
 from hankellift.operators import GAP_FACTOR, hankel_matrix, operator_norm, shift_matrix
 
@@ -71,6 +72,9 @@ def test_tm_basis_auto_raises_order():
     basis = tm_basis(u, 16)
     assert basis.order > 16
     assert basis.tail_bound <= 1e-10
+    # tm_columns builds at the order it is given; tm_basis at the order it certified
+    assert tm_columns(u, 16).shape == (17, 3)
+    assert np.array_equal(basis.columns, tm_columns(u, basis.order))
 
 
 def test_tm_basis_raises_at_order_cap(monkeypatch):
@@ -176,8 +180,8 @@ def test_intersection_dimension_realizes_gcd():
         if len(z1) > 4 or len(z2) > 4:
             continue
         n = 96
-        b1 = tm_basis(u1, n, tail_target=np.inf).columns
-        b2 = tm_basis(u2, n, tail_target=np.inf).columns
+        b1 = tm_columns(u1, n)
+        b2 = tm_columns(u2, n)
         assert subspace_intersection_dim(b1, b2) == gcd_inner(u1, u2).degree
 
 
