@@ -43,7 +43,8 @@ from .operators import hilbert_generator, hilbert_hankel, hilbert_log10_minors, 
 from .subspaces import check_invariance, check_reducing, verify_kernel_identity
 from .suite import run_suite
 
-# Largest --order accepted: a (4097 x 4097) complex section takes 268 MB.
+# Largest --order accepted: there the real Hilbert section takes 134 MB and
+# the other commands' (4097 x 4097) complex sections 268 MB.
 MAX_ORDER = 4096
 
 REFUSALS = (AmbiguousRank, TailBoundExceeded, NoConvergence, AmbiguousMatching, KernelNotBeurling)
@@ -119,21 +120,42 @@ def _parse_zeros(text: str) -> list:
     return [_parse_complex_pair(chunk) for chunk in text.split(";") if chunk.strip()]
 
 
+_CASTS = {"order": int, "rank_tol": float, "residual_tol": float, "out": str, "format": str}
+# the JSON values each cast accepts: an order or a symbol index must be an
+# integer, a tolerance or a real or imaginary part any number; a bool, though
+# an int in Python, is neither
+_ACCEPTS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
+
+
+def _json_value(value, cast, what):
+    """``cast(value)``, refused unless ``value`` is the JSON kind ``_ACCEPTS`` names."""
+    types, kind = _ACCEPTS[cast]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigInvalid(f"bad config value: {what} = {value!r} is not {kind}")
+    try:
+        return cast(value)
+    except OverflowError:  # an integer too large for a float
+        raise ConfigInvalid(f"bad config value: {what} = {value!r} is out of range")
+
+
 def _config_pair(p) -> complex:
     """A config-file [re, im] pair; any other length is refused, not truncated."""
     if not isinstance(p, list) or len(p) != 2:
         raise ConfigInvalid(f"expected a [re, im] pair, got {p!r}")
-    return complex(float(p[0]), float(p[1]))
+    return complex(_json_value(p[0], float, "[re, im] part"), _json_value(p[1], float, "[re, im] part"))
 
 
 def _symbol_pairs(data) -> list:
     """[index, re, im] triples, from a symbol file or a config file, as (index, complex)."""
     if not isinstance(data, list) or not all(isinstance(t, list) and len(t) == 3 for t in data):
         raise ConfigInvalid("symbol entries must be [index, re, im] triples")
-    try:
-        return [(int(k), complex(float(re), float(im))) for k, re, im in data]
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"bad symbol entry: {exc}")
+    return [
+        (
+            _json_value(k, int, "symbol index"),
+            complex(_json_value(re, float, "symbol part"), _json_value(im, float, "symbol part")),
+        )
+        for k, re, im in data
+    ]
 
 
 def _load_symbol_file(path: str) -> list:
@@ -163,12 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="write the report to this path instead of stdout")
     parser.add_argument("--format", choices=["json", "csv-summary", "text"])
     return parser
-
-
-_CASTS = {"order": int, "rank_tol": float, "residual_tol": float, "out": str, "format": str}
-# the JSON values each cast accepts: an order must be an integer, a tolerance
-# any number; a bool, though an int in Python, is neither
-_ACCEPTS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
 
 
 def load_config(argv) -> ExperimentConfig:
@@ -209,16 +225,12 @@ def load_config(argv) -> ExperimentConfig:
             cfg.constant = _parse_complex_pair(raw_const)
         elif raw_const is not None:
             cfg.constant = _config_pair(raw_const)
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:  # zeros that are not a list
         raise ConfigInvalid(f"bad config value: {exc}")
     for key, cast in _CASTS.items():
         value = values[key]
-        if value is None:
-            continue
-        types, kind = _ACCEPTS[cast]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ConfigInvalid(f"bad config value: {key} = {value!r} is not {kind}")
-        setattr(cfg, key, cast(value))
+        if value is not None:
+            setattr(cfg, key, _json_value(value, cast, key))
     if isinstance(raw_sym, str):
         cfg.symbol_pairs = _load_symbol_file(raw_sym)
     elif raw_sym is not None:

@@ -52,11 +52,14 @@ def hilbert_generator():
 
 
 def hilbert_hankel(n: int) -> np.ndarray:
-    """Order-n section with entries 1/(m + k + 1): real symmetric positive definite."""
+    """Order-n section with entries 1/(m + k + 1): real symmetric positive definite.
+
+    It stays ``float64``, so ``operator_norm`` takes its norm in real arithmetic.
+    """
     if n < 0:
         raise ValueError("order must be >= 0")
     idx = np.arange(n + 1, dtype=float)
-    return (1.0 / (idx[:, None] + idx[None, :] + 1.0)).astype(complex)
+    return 1.0 / (idx[:, None] + idx[None, :] + 1.0)
 
 
 def hilbert_log10_minors(n: int) -> list:
@@ -82,8 +85,13 @@ def shift_matrix(n: int) -> np.ndarray:
 
 
 def operator_norm(m) -> float:
-    """Largest singular value; power iteration above the full-SVD limit."""
-    a = np.asarray(m, dtype=complex)
+    """Largest singular value; power iteration above the full-SVD limit.
+
+    A complex input is taken in complex128, any other in float64: a real
+    input stays real on both paths (a real SVD, a real start vector).
+    """
+    a = np.asarray(m)
+    a = a.astype(complex if np.iscomplexobj(a) else float, copy=False)
     if a.size == 0:
         return 0.0
     if max(a.shape) <= FULL_SVD_LIMIT + 1:
@@ -93,11 +101,13 @@ def operator_norm(m) -> float:
 
 def _power_norm(a, max_iter=10_000, rel_tol=1e-12):
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(a.shape[1]) + 1j * rng.standard_normal(a.shape[1])
+    v = rng.standard_normal(a.shape[1])
+    if np.iscomplexobj(a):
+        v = v + 1j * rng.standard_normal(a.shape[1])
     v /= np.linalg.norm(v)
     last = 0.0
     for _ in range(max_iter):
-        w = a.conj().T @ (a @ v)
+        w = a.conj().T @ (a @ v)  # conj() of a real array is the array itself
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
             return 0.0

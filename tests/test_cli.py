@@ -61,6 +61,18 @@ def test_config_file_unknown_key(tmp_path):
         ({"command": "gcd", "zeros": "0.5,0", "order": "64"}, None),
         ({"command": "gcd", "zeros": "0.5,0", "rank_tol": True}, None),
         ({"command": "gcd", "zeros": "0.5,0", "residual_tol": float("nan")}, None),
+        # a symbol index is a JSON integer and a symbol part a JSON number, never truncated
+        ({"command": "invariance", "zeros": "0,0;0,0"}, [[1.7, 1.0, 0.0]]),
+        ({"command": "invariance", "zeros": "0,0;0,0"}, [[True, 1.0, 0.0]]),
+        ({"command": "invariance", "zeros": "0,0;0,0"}, [["3", 1.0, 0.0]]),
+        ({"command": "invariance", "zeros": "0,0;0,0"}, [[1, True, 0.0]]),
+        ({"command": "invariance", "zeros": "0,0;0,0", "symbol_coeffs": [[1.7, 1.0, 0.0]]}, None),
+        # config-file zeros and constants follow the same rule
+        ({"command": "gcd", "zeros": [[0.5, False]]}, None),
+        ({"command": "gcd", "zeros": "0.5,0", "constant": [True, False]}, None),
+        ({"command": "gcd", "zeros": "0.5,0", "constant": ["1", "0"]}, None),
+        ({"command": "gcd", "zeros": [[0.5, 10**400]]}, None),
+        ({"command": "gcd", "zeros": "0.5,0", "rank_tol": 10**400}, None),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, config, symbol):

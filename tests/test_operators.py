@@ -101,6 +101,24 @@ def test_hilbert_hankel_small_orders():
     )
 
 
+def test_hilbert_hankel_is_real_and_symmetric():
+    for n in (0, 1, 8, 129):
+        h = hilbert_hankel(n)
+        assert h.dtype == np.float64 and h.shape == (n + 1, n + 1)
+        assert np.array_equal(h, h.T)
+
+
+def test_real_hilbert_norm_matches_the_complex_svd():
+    # a real section is normed by the real SVD, which agrees with the complex
+    # SVD of the same section
+    for n in (0, 1, 2, 8, 32, 41, 128, 451, 512):
+        h = hilbert_hankel(n)
+        norm = operator_norm(h)
+        assert norm == float(np.linalg.svd(h, compute_uv=False)[0])
+        reference = float(np.linalg.svd(h.astype(complex), compute_uv=False)[0])
+        assert abs(norm - reference) <= 4 * np.spacing(reference)
+
+
 def quadratic_eigenvalues(a, b, c, d):
     """Oracle: eigenvalues of [[a, b], [c, d]] from the characteristic polynomial."""
     tr, det = a + d, a * d - b * c
@@ -129,6 +147,15 @@ def test_operator_norm_power_iteration_path():
     diag = np.concatenate([[2.0], rng.uniform(0.0, 1.0, n - 1)])
     a = np.diag(diag).astype(complex)
     assert abs(operator_norm(a) - 2.0) < 1e-9
+    # complex input keeps its complex start vector and iteration bit for bit
+    assert operator_norm(a) == 1.999999999999898
+
+
+def test_operator_norm_real_power_iteration_path():
+    rng = np.random.default_rng(0)
+    n = 1100  # above the full-SVD limit
+    diag = np.concatenate([[2.0], rng.uniform(0.0, 1.0, n - 1)])
+    assert abs(operator_norm(np.diag(diag)) - 2.0) <= 1e-12
 
 
 def test_null_space_invertible():
