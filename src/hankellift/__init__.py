@@ -49,7 +49,6 @@ from .subspaces import (
     ReducingReport,
     check_invariance,
     check_reducing,
-    kernel_divisor_check,
     kernel_symbol,
     random_symbol_in_model,
     verify_kernel_identity,

@@ -68,13 +68,14 @@ def _canonical_zeros(zeros):
 def make_blaschke(zeros, constant=1.0) -> BlaschkeProduct:
     """Build constant * prod b_{alpha_i}; zeros kept with multiplicity."""
     constant = complex(constant)
-    if abs(abs(constant) - 1.0) > UNIMODULAR_TOL:
+    # both guards are written so that a NaN fails them
+    if not abs(abs(constant) - 1.0) <= UNIMODULAR_TOL:
         raise NonUnimodularConstant(f"|constant| = {abs(constant)!r} is not 1")
     zs = _canonical_zeros(zeros)
     for z in zs:
-        if abs(z) >= 1.0 - DELTA_MIN:
+        if not abs(z) < 1.0 - DELTA_MIN:
             raise ZeroOutsideDisk(
-                f"zero {z} has |z| = {abs(z):.6f} >= {1 - DELTA_MIN}; "
+                f"zero {z} has |z| = {abs(z):.6g}, not below {1 - DELTA_MIN}; "
                 "truncation would be ill conditioned"
             )
     return BlaschkeProduct(constant=constant, zeros=zs)

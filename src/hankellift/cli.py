@@ -1,7 +1,8 @@
 """Command-line front end: experiment configs in, machine-readable reports out.
 
 Exit codes: 0 computed, 1 suite criterion failed, 2 bad configuration,
-3 numerical refusal (ambiguous rank, tail bound, or kernel shape).
+3 numerical refusal (ambiguous rank, tail bound, no convergence or
+ambiguous matching).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import (
     AmbiguousRank,
     ConfigInvalid,
     HankelLiftError,
-    KernelNotBeurling,
     NoConvergence,
     NonUnimodularConstant,
     TailBoundExceeded,
@@ -47,7 +47,7 @@ from .suite import run_suite
 # the other commands' (4097 x 4097) complex sections 268 MB.
 MAX_ORDER = 4096
 
-REFUSALS = (AmbiguousRank, TailBoundExceeded, NoConvergence, AmbiguousMatching, KernelNotBeurling)
+REFUSALS = (AmbiguousRank, TailBoundExceeded, NoConvergence, AmbiguousMatching)
 
 
 @dataclass
@@ -128,14 +128,20 @@ _ACCEPTS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (s
 
 
 def _json_value(value, cast, what):
-    """``cast(value)``, refused unless ``value`` is the JSON kind ``_ACCEPTS`` names."""
+    """``cast(value)``, refused unless ``value`` is the JSON kind ``_ACCEPTS`` names.
+
+    A number must also be finite: JSON ``NaN`` and ``Infinity`` are refused.
+    """
     types, kind = _ACCEPTS[cast]
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigInvalid(f"bad config value: {what} = {value!r} is not {kind}")
     try:
-        return cast(value)
+        result = cast(value)
     except OverflowError:  # an integer too large for a float
         raise ConfigInvalid(f"bad config value: {what} = {value!r} is out of range")
+    if cast is float and not math.isfinite(result):
+        raise ConfigInvalid(f"bad config value: {what} = {value!r} is not finite")
+    return result
 
 
 def _config_pair(p) -> complex:

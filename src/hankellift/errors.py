@@ -37,10 +37,6 @@ class OrderMismatch(HankelLiftError):
     """Operands were built at different truncation orders."""
 
 
-class KernelNotBeurling(HankelLiftError):
-    """Numerical Hankel kernel does not align with any candidate w*H^2 section."""
-
-
 class ConfigInvalid(HankelLiftError):
     """Experiment configuration failed validation."""
 

@@ -6,8 +6,9 @@ which is triangular in the (canonically sorted) zero ordering and reduces
 to the monomials when every zero vanishes.  The Beurling subspace u*H^2
 is the complement of Q_u: at the working order I - BB* projects onto it
 to within the basis tail.  ``beurling_basis`` spans the same section by
-the truncated shifts u*z^k, re-orthonormalized, for the kernel alignment
-of ``kernel_divisor_check``.
+the truncated shifts u*z^k, re-orthonormalized.  No command calls it: it
+is the test reference for the complement blocks of ``verify_block_lift``,
+and the benchmark tracer wraps it and ``shifted_inner_columns`` by name.
 """
 
 from __future__ import annotations

@@ -9,23 +9,24 @@ indecisive trials are meant to be re-run at a doubled order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .blaschke import (
     BlaschkeProduct,
     conj_reflect,
-    divide,
-    make_blaschke,
     series_tail_bound,  # noqa: F401  unused; bench/test_bench.py asserts this binding is traced
     taylor_coefficients,
 )
-from .errors import KernelNotBeurling, TailBoundExceeded, WindowTooSmall, ZeroOutsideDisk
+from .errors import TailBoundExceeded, WindowTooSmall
 from .fourier import Symbol, analytic_symbol, conj_flip_symbol, symbol_from_laurent
 from .intertwine import gcd_symbol_theta
-from .model_space import beurling_basis, lower_toeplitz, tm_column_tails, tm_columns
-from .operators import hankel_matrix, null_space, shift_matrix
+from .model_space import lower_toeplitz, tm_column_tails, tm_columns
+from .operators import (
+    hankel_matrix,
+    null_space,  # noqa: F401  unused; bench/test_bench.py asserts this binding is traced
+)
 
 RESIDUAL_TOL = 1e-8
 TAIL_SAFETY = 10.0
@@ -33,8 +34,6 @@ TAIL_SAFETY = 10.0
 MAX_DOUBLINGS = 2
 # verify_kernel_identity's bound on the inclusion residual.
 INCLUSION_TARGET = 1e-9
-# kernel_divisor_check's bound on the misalignment of ker H_phi with w H^2.
-ALIGN_TOL = 1e-6
 # random_symbol_outside_model draws polynomials of this degree whose
 # component off the model space has at least this norm.
 OFF_MODEL_WINDOW = 8
@@ -284,79 +283,6 @@ def verify_kernel_identity(u: BlaschkeProduct, n: int) -> KernelIdentityReport:
         inclusion_tolerance=INCLUSION_TARGET,
         restricted_sigma_min=sigma_min,
         inclusion_holds=inclusion <= INCLUSION_TARGET,
-    )
-
-
-@dataclass(frozen=True)
-class DivisorCheckReport:
-    u: BlaschkeProduct
-    w: BlaschkeProduct
-    w_inferred: bool
-    alignment_residual: float
-    invariant_expected: bool
-    invariant_observed: bool
-    observed_residual: float
-
-    @property
-    def agree(self) -> bool:
-        return self.invariant_expected == self.invariant_observed
-
-
-def kernel_divisor_check(
-    phi: Symbol, u: BlaschkeProduct, n: int, w: Optional[BlaschkeProduct] = None
-) -> DivisorCheckReport:
-    """Confirm that u H^2 is invariant under H_phi exactly when w divides u.
-
-    ``w`` is the Beurling inner function of ker H_phi; when omitted it is
-    inferred from the section: the zeros of w are the eigenvalues of the
-    shift compressed to the orthogonal complement of the numerical kernel.
-    Raises KernelNotBeurling when the kernel does not align with w H^2.
-    """
-    h = hankel_matrix(phi, n)
-    kernel, _ = null_space(h)
-    dim_kernel = kernel.shape[1]
-    inferred = w is None
-    if inferred:
-        d_w = n + 1 - dim_kernel
-        if d_w == 0:
-            w = make_blaschke([])
-        else:
-            _, _, vh = np.linalg.svd(h)
-            complement = vh[:d_w, :].conj().T
-            s_c = complement.conj().T @ shift_matrix(n) @ complement
-            eigs = np.linalg.eigvals(s_c)
-            try:
-                w = make_blaschke(eigs)
-            except ZeroOutsideDisk as exc:
-                raise KernelNotBeurling(
-                    f"inferred kernel zeros are not inside the disk: {exc}"
-                )
-    if dim_kernel != n + 1 - w.degree:
-        raise KernelNotBeurling(
-            f"kernel dimension {dim_kernel} does not match n+1-deg(w) = {n + 1 - w.degree}"
-        )
-    if dim_kernel:
-        bw = beurling_basis(w, n)
-        misaligned = kernel - bw @ (bw.conj().T @ kernel)
-        alignment = float(np.linalg.norm(misaligned, ord=2))
-    else:
-        alignment = 0.0
-    if alignment > ALIGN_TOL:
-        raise KernelNotBeurling(
-            f"kernel misaligned with w H^2 by {alignment:.3e} (tol {ALIGN_TOL:.1e})"
-        )
-    expected = divide(u, w) is not None
-    images, _ = _shift_images(u, phi)
-    observed_res = float(np.linalg.norm(images, axis=0).max())
-    tol = RESIDUAL_TOL + TAIL_SAFETY * phi.tail_l1
-    return DivisorCheckReport(
-        u=u,
-        w=w,
-        w_inferred=inferred,
-        alignment_residual=alignment,
-        invariant_expected=expected,
-        invariant_observed=observed_res <= tol,
-        observed_residual=observed_res,
     )
 
 

@@ -119,26 +119,39 @@ def criterion_block_lifting() -> tuple[bool, str]:
     return ok, f"2 cases at order 64: worst block/norm residual {worst:.1e}"
 
 
-def criterion_invariance_equivalence() -> tuple[bool, str]:
-    """The three invariance conditions agree on every decisive trial."""
+def _equivalence_tally(check, trials) -> tuple[int, int, int]:
+    """Resolve ``check`` on each ``(u, v, seed, in_model)`` trial from order 64.
+
+    The symbol is a seeded random element of the model space of ``v`` when
+    ``in_model``, else a fixed symbol with a component off it.  Returns the
+    unresolved and disagreeing trials and the most doublings any took.
+    """
     unresolved, disagreements, doublings = 0, 0, 0
-    for i in range(100):
-        u = random_blaschke(4000 + i, max_degree=4, radius=0.7)
-        v = conj_reflect(u)
-        if i % 2 == 0:
-            def phi_at(n, v=v, s=24000 + i):
+    for u, v, seed, in_model in trials:
+        if in_model:
+            def phi_at(n, v=v, s=seed):
                 return random_symbol_in_model(v, s, n // 2)
         else:
-            phi0 = random_symbol_outside_model(v, 24000 + i, 64)
+            phi0 = random_symbol_outside_model(v, seed, 64)
 
             def phi_at(n, p=phi0):
                 return p
-        out = resolve_trial(check_invariance, u, phi_at, 64)
+        out = resolve_trial(check, u, phi_at, 64)
         doublings = max(doublings, out.doublings)
         if not out.resolved:
             unresolved += 1
         elif not out.report.agreement:
             disagreements += 1
+    return unresolved, disagreements, doublings
+
+
+def criterion_invariance_equivalence() -> tuple[bool, str]:
+    """The three invariance conditions agree on every decisive trial."""
+    trials = []
+    for i in range(100):
+        u = random_blaschke(4000 + i, max_degree=4, radius=0.7)
+        trials.append((u, conj_reflect(u), 24000 + i, i % 2 == 0))
+    unresolved, disagreements, doublings = _equivalence_tally(check_invariance, trials)
     ok = unresolved == 0 and disagreements == 0
     return ok, (
         f"100 trials: {disagreements} disagreements, {unresolved} unresolved, "
@@ -148,28 +161,12 @@ def criterion_invariance_equivalence() -> tuple[bool, str]:
 
 def criterion_reducing_equivalence() -> tuple[bool, str]:
     """Both-invariance, double kernel inclusion, and gcd orthogonality agree."""
-    unresolved, disagreements, doublings = 0, 0, 0
+    trials = []
     for i in range(50):
         kind = i % 3
-        if kind in (0, 1):
-            u = random_blaschke(5000 + i, max_degree=4, radius=0.7, plant_pair=True)
-        else:
-            u = random_blaschke(5000 + i, max_degree=4, radius=0.7, plant_pair=False)
-        theta = gcd_symbol_theta(u)
-        if kind == 0:
-            def phi_at(n, v=theta, s=25000 + i):
-                return random_symbol_in_model(v, s, n // 2)
-        else:
-            phi0 = random_symbol_outside_model(theta, 25000 + i, 64)
-
-            def phi_at(n, p=phi0):
-                return p
-        out = resolve_trial(check_reducing, u, phi_at, 64)
-        doublings = max(doublings, out.doublings)
-        if not out.resolved:
-            unresolved += 1
-        elif not out.report.agreement:
-            disagreements += 1
+        u = random_blaschke(5000 + i, max_degree=4, radius=0.7, plant_pair=kind in (0, 1))
+        trials.append((u, gcd_symbol_theta(u), 25000 + i, kind == 0))
+    unresolved, disagreements, doublings = _equivalence_tally(check_reducing, trials)
     ok = unresolved == 0 and disagreements == 0
     return ok, (
         f"50 trials (adjoint path included): {disagreements} disagreements, "

@@ -51,13 +51,15 @@ def test_conjugate_pair_construction():
 
 
 def test_zero_outside_disk_rejected():
-    with pytest.raises(ZeroOutsideDisk):
-        make_blaschke([0.96])
+    for z in (0.96, complex(float("nan"), 0.0), complex(0.3, float("nan"))):
+        with pytest.raises(ZeroOutsideDisk):
+            make_blaschke([z])
 
 
 def test_non_unimodular_constant_rejected():
-    with pytest.raises(NonUnimodularConstant):
-        make_blaschke([0.1], 2.0)
+    for c in (2.0, complex(float("nan"), 0.0)):
+        with pytest.raises(NonUnimodularConstant):
+            make_blaschke([0.1], c)
 
 
 def test_evaluate_factor_at_origin_is_its_zero():

@@ -1,8 +1,10 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
-from hankellift import cli
+from hankellift import cli, errors
 from hankellift.errors import ConfigInvalid
 from hankellift.suite import CriterionResult
 
@@ -73,6 +75,11 @@ def test_config_file_unknown_key(tmp_path):
         ({"command": "gcd", "zeros": "0.5,0", "constant": ["1", "0"]}, None),
         ({"command": "gcd", "zeros": [[0.5, 10**400]]}, None),
         ({"command": "gcd", "zeros": "0.5,0", "rank_tol": 10**400}, None),
+        # a number read from JSON must be finite
+        ({"command": "invariance", "zeros": "0,0;0,0"}, [[0, float("nan"), 0.0], [1, 1.0, 0.0]]),
+        ({"command": "lift-check", "zeros": "0,0;0,0"}, [[0, float("nan"), 0.0], [1, 1.0, 0.0]]),
+        ({"command": "invariance", "zeros": "0,0;0,0"}, [[1, 1.0, float("inf")]]),
+        ({"command": "gcd", "zeros": [[float("nan"), 0]]}, None),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, config, symbol):
@@ -89,12 +96,20 @@ def test_bad_config_values_exit_2(tmp_path, capsys, config, symbol):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--zeros", "0.99,0"], ["--zeros", "0.5,0", "--constant", "2,0"]],
+    [
+        ["--zeros", "0.99,0"],
+        ["--zeros", "0.5,0", "--constant", "2,0"],
+        # a NaN fails the disk and unimodularity guards
+        ["--zeros", "nan,0"],
+        ["--zeros", "0.3,nan"],
+        ["--zeros", "0.5,0", "--constant", "nan,0"],
+    ],
 )
 def test_bad_blaschke_data_is_a_config_error(capsys, flags):
     # exit 3 is reserved for numerical refusals
-    assert cli.main(["--command", "gcd"] + flags) == 2
-    assert "config error:" in capsys.readouterr().err
+    for command in ("gcd", "intertwine", "lift-check", "kernel", "toeplitz-fixed"):
+        assert cli.main(["--command", command] + flags) == 2
+        assert "config error:" in capsys.readouterr().err
 
 
 def test_invalid_order_rejected():
@@ -325,3 +340,20 @@ def test_unsupported_format_rejected(tmp_path, capsys):
     cfg = cli.load_config(["--command", "gcd", "--zeros", "0.5,0"])
     with pytest.raises(UnsupportedFormat):
         cli.emit_report(cli.run_experiment(cfg), "yaml")
+
+
+def test_every_error_type_is_raised():
+    # a type whose last raise a deletion removed fails here
+    raised = set()
+    for path in Path(errors.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    types = {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.HankelLiftError)
+        and value is not errors.HankelLiftError
+    }
+    assert types and types <= raised, sorted(types - raised)

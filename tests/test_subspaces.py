@@ -8,14 +8,13 @@ from hankellift.blaschke import (
     random_blaschke,
     taylor_coefficients,
 )
-from hankellift.errors import KernelNotBeurling, TailBoundExceeded, WindowTooSmall
+from hankellift.errors import TailBoundExceeded, WindowTooSmall
 from hankellift.fourier import analytic_symbol, materialize
 from hankellift.intertwine import gcd_symbol_theta
 from hankellift.operators import hankel_matrix, hilbert_generator, operator_norm, toeplitz_matrix
 from hankellift.subspaces import (
     check_invariance,
     check_reducing,
-    kernel_divisor_check,
     kernel_symbol,
     random_symbol_in_model,
     random_symbol_outside_model,
@@ -165,41 +164,6 @@ def test_kernel_identity_rejects_constants():
         verify_kernel_identity(make_blaschke([]), 32)
 
 
-def test_kernel_divisor_check_inferred_w():
-    # H_z has kernel z^2 H^2; z^2 divides z^3, so z^3 H^2 is invariant
-    rep = kernel_divisor_check(Z_SYMBOL, monomial(3), 24)
-    assert rep.w_inferred and rep.w.zeros == (0j, 0j)
-    assert rep.invariant_expected and rep.invariant_observed and rep.agree
-
-
-def test_kernel_divisor_check_not_invariant():
-    rep = kernel_divisor_check(Z_SYMBOL, monomial(1), 24)
-    assert not rep.invariant_expected
-    assert not rep.invariant_observed
-    assert abs(rep.observed_residual - 1.0) < 1e-14  # H_z z = 1
-    assert rep.agree
-
-
-def test_kernel_divisor_check_nonmonomial_u():
-    rep = kernel_divisor_check(Z_SYMBOL, make_blaschke([0.5]), 24)
-    assert not rep.invariant_expected and not rep.invariant_observed and rep.agree
-
-
-def test_kernel_divisor_check_rejects_wrong_w():
-    with pytest.raises(KernelNotBeurling):
-        kernel_divisor_check(Z_SYMBOL, monomial(3), 24, w=make_blaschke([0.5]))
-
-
-def test_kernel_divisor_check_with_materialized_kernel_symbol():
-    u = make_blaschke([0.5, -0.3j])
-    n = 48
-    phi = kernel_symbol(u, 2 * n + 1)
-    rep = kernel_divisor_check(phi, u, n)
-    assert rep.w_inferred
-    assert np.allclose(sorted(z.real for z in rep.w.zeros), sorted(z.real for z in u.zeros), atol=1e-8)
-    assert rep.invariant_expected and rep.invariant_observed
-
-
 def test_random_symbol_in_model_is_low_degree_polynomial():
     phi = random_symbol_in_model(monomial(2), 5, 32)
     coeffs = np.array([phi.coefficient(k) for k in range(33)])
@@ -278,6 +242,9 @@ def test_kernel_condition_matches_operator_formulation():
         (monomial(2), Z_SYMBOL, True),
         (monomial(2), materialize(hilbert_generator(), 16), False),
         (make_blaschke([0.5]), Z_SYMBOL, False),
+        # ker H_z = z^2 H^2 holds z^3 H^2 but not z H^2
+        (monomial(1), Z_SYMBOL, False),
+        (monomial(3), Z_SYMBOL, True),
     ]
     for u, phi, expected in cases:
         rep = check_invariance(u, phi, 64)
@@ -286,3 +253,5 @@ def test_kernel_condition_matches_operator_formulation():
         product = operator_norm(hankel_matrix(phi, 64) @ t_u)
         assert rep.kernel.holds == expected
         assert (product <= rep.kernel.tolerance + 1e-6) == expected
+    # H_z z = 1, so the kernel residual of z H^2 under H_z is exactly 1
+    assert check_invariance(monomial(1), Z_SYMBOL, 64).kernel.residual == 1.0
