@@ -30,6 +30,7 @@ MIN_SEP = 1e-3
 
 # Number of expansion radii series_tail_bound minimizes over.
 TAIL_GRID = 64
+_GRID_STEPS = np.arange(TAIL_GRID, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -46,19 +47,12 @@ class BlaschkeProduct:
     def text(self) -> str:
         """Canonical text form ``B[(re,im); (re,im)xmult, ...]``."""
         c = complex(self.constant)
-        parts = [
-            f"({z.real:.12g},{z.imag:.12g})x{m}"
-            for z, m in sorted(Counter(self.zeros).items(), key=_sort_key)
-        ]
+        # the zeros are canonically sorted, and a Counter keeps their order
+        parts = [f"({z.real:.12g},{z.imag:.12g})x{m}" for z, m in Counter(self.zeros).items()]
         return f"B[({c.real:.12g},{c.imag:.12g}); " + ", ".join(parts) + "]"
 
     def __str__(self) -> str:
         return self.text()
-
-
-def _sort_key(item):
-    z = complex(item[0]) if isinstance(item, tuple) else complex(item)
-    return (z.real, z.imag)
 
 
 def _canonical_zeros(zeros):
@@ -185,7 +179,10 @@ def series_tail_bound(zeros, n, szego_alpha=None, scale=1.0):
     if rho == 0.0:
         return 0.0 if n >= len(moduli) else float(abs(scale))
     top = min((1.0 / rho) * (1.0 - 1e-9), 10.0 ** (300.0 / (n + 1)))
-    radii = np.geomspace(1.0 + 1e-6, top, TAIL_GRID)
+    # np.geomspace(1 + 1e-6, top, TAIL_GRID) step by step, so the same doubles
+    lo = np.log10(1.0 + 1e-6)
+    radii = 10.0 ** (_GRID_STEPS * ((np.log10(top) - lo) / (TAIL_GRID - 1)) + lo)
+    radii[0], radii[-1] = 1.0 + 1e-6, top
     w = np.full(TAIL_GRID, float(abs(scale)))
     for aa in moduli:
         w *= _factor_weight(aa, radii)

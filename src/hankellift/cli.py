@@ -323,15 +323,14 @@ def _run_gcd(cfg):
 
 def _run_intertwine(cfg):
     rep = solve_intertwiner_space(_require_u(cfg), cfg.order, rank_tol=cfg.rank_tol)
-    lift = rep.lift_check
     payload = {
         "u": rep.u.text(),
         "theta": rep.theta.text(),
         "theta_degree": rep.theta.degree,
         "solution_dim": rep.solution_dim,
         "residual_max": rep.residual_max,
-        "norm_X": lift.norm_x if lift else 0.0,
-        "norm_H": lift.norm_h if lift else 0.0,
+        "norm_X": rep.norm_x,
+        "norm_H": rep.norm_h,
         "gap": _gap_pair(rep.gap),
         "hankel_structure_dev": rep.hankel_structure_dev,
         "gcd_solution_residual": rep.gcd_solution_residual,

@@ -35,7 +35,10 @@ def lifting_symbol(u: BlaschkeProduct, n: int, j: int = 1) -> Optional[Symbol]:
     At j = 1 this is (theta - theta(0))/z, whose sup on the circle is at most
     1 + |theta(0)|; the symbols for j < deg(theta) are distinct and nonzero.
     """
-    theta = gcd_symbol_theta(u)
+    return _backshift(gcd_symbol_theta(u), n, j)
+
+
+def _backshift(theta: BlaschkeProduct, n: int, j: int = 1) -> Optional[Symbol]:
     if theta.degree == 0:
         return None
     coeffs, tail = taylor_coefficients(theta, n + j)
@@ -45,15 +48,20 @@ def lifting_symbol(u: BlaschkeProduct, n: int, j: int = 1) -> Optional[Symbol]:
 def _section(phi: Symbol, basis: ModelSpaceBasis) -> np.ndarray:
     """H_phi at the order of the basis; refuses a window the section cannot hold."""
     if phi.window > 2 * basis.order:
-        raise OrderMismatch(
-            f"symbol window {phi.window} exceeds 2x basis order {basis.order}"
-        )
+        raise OrderMismatch(f"symbol window {phi.window} exceeds 2x basis order {basis.order}")
     return hankel_matrix(phi, basis.order)
 
 
 def intertwiner_from_symbol(basis: ModelSpaceBasis, phi: Symbol) -> np.ndarray:
     """X = H_phi compressed to Q_u at the order of the basis."""
     return compress(_section(phi, basis), basis)
+
+
+def _lift_blocks(phi: Symbol, basis: ModelSpaceBasis):
+    """h = H_phi at the order of the basis, bh = B* h and the Q_u block x = bh B."""
+    h = _section(phi, basis)
+    bh = basis.columns.conj().T @ h
+    return h, bh, bh @ basis.columns
 
 
 @dataclass(frozen=True)
@@ -82,16 +90,12 @@ def verify_block_lift(phi: Symbol, basis: ModelSpaceBasis) -> BlockLiftRecord:
     blocks come from the complement I - BB*, which is the projection onto
     u H^2 to within the basis tail.
     """
-    h = _section(phi, basis)
-    b = basis.columns
-    b_adj = b.conj().T
-    bh = b_adj @ h
-    x = bh @ b
+    h, bh, x = _lift_blocks(phi, basis)
+    b, b_adj = basis.columns, basis.columns.conj().T
     g_qb = bh - x @ b_adj
     g_bq = h @ b - b @ x
     g_bb = h - b @ bh - g_bq @ b_adj
-    norm_h = operator_norm(h)
-    norm_x = operator_norm(x)
+    norm_h, norm_x = operator_norm(h), operator_norm(x)
     return BlockLiftRecord(
         x=x,
         block_qb_norm=operator_norm(g_qb),
@@ -116,7 +120,9 @@ class IntertwinerReport:
     gap: RankGapReport
     hankel_structure_dev: float
     gcd_solution_residual: Optional[float]
-    lift_check: Optional[BlockLiftRecord]
+    x: Optional[np.ndarray]  # B* H_phi B for the lifting symbol; None when theta = 1
+    norm_x: float  # ||x||, and ||H_phi|| taken as ||B* H_phi||; both 0 when theta = 1
+    norm_h: float
     order: int
 
     @property
@@ -155,15 +161,16 @@ def solve_intertwiner_space(u: BlaschkeProduct, n: int, rank_tol=RANK_TOL_FACTOR
     structure_dev = max((_hankel_structure_deviation(b @ x @ b.conj().T) for x in solutions), default=0.0)
 
     theta = gcd_symbol_theta(u)
-    gcd_residual = None
-    lift_check = None
+    gcd_residual, x, norm_x, norm_h = None, None, 0.0, 0.0
     if theta.degree > 0:
-        lift_check = verify_block_lift(lifting_symbol(u, 2 * basis.order), basis)
-        vec = lift_check.x.flatten(order="F")
+        # Kronecker: H_phi maps into K_theta, inside Q_u as theta | u, so its
+        # section has range in span B and ||H_phi|| = ||B* H_phi||
+        _, bh, x = _lift_blocks(_backshift(theta, 2 * basis.order), basis)
+        norm_x, norm_h = operator_norm(x), operator_norm(bh)
+        vec = x.flatten(order="F")
         scale = np.linalg.norm(vec)
         if scale > 0 and kernel.shape[1]:
-            proj = kernel @ (kernel.conj().T @ vec)
-            gcd_residual = float(np.linalg.norm(vec - proj) / scale)
+            gcd_residual = float(np.linalg.norm(vec - kernel @ (kernel.conj().T @ vec)) / scale)
         else:
             gcd_residual = float(scale)
     return IntertwinerReport(
@@ -175,7 +182,9 @@ def solve_intertwiner_space(u: BlaschkeProduct, n: int, rank_tol=RANK_TOL_FACTOR
         gap=gap,
         hankel_structure_dev=structure_dev,
         gcd_solution_residual=gcd_residual,
-        lift_check=lift_check,
+        x=x,
+        norm_x=norm_x,
+        norm_h=norm_h,
         order=basis.order,
     )
 
@@ -197,6 +206,4 @@ def solve_toeplitz_fixed_space(u: BlaschkeProduct, n: int, rank_tol=RANK_TOL_FAC
     s = compressed_shift(basis)
     a = np.kron(s.T, s.conj().T) - np.eye(d * d)
     kernel, gap = null_space(a, rank_tol)
-    return ToeplitzFixedReport(
-        u=u, solution_dim=kernel.shape[1], gap=gap, order=basis.order
-    )
+    return ToeplitzFixedReport(u=u, solution_dim=kernel.shape[1], gap=gap, order=basis.order)

@@ -250,10 +250,6 @@ class KernelIdentityReport:
     restricted_sigma_min: float
     inclusion_holds: bool
 
-    @property
-    def verdict(self) -> bool:
-        return self.inclusion_holds and self.restricted_sigma_min > 0.0
-
 
 def verify_kernel_identity(u: BlaschkeProduct, n: int) -> KernelIdentityReport:
     """Check ker H = u H^2 for the kernel symbol of u, of window 2n.

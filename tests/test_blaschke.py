@@ -257,6 +257,27 @@ def test_tail_bound_matches_the_scalar_loop_bit_for_bit():
         assert bound.hex() == reference.hex(), (zeros, n, alpha, scale)
 
 
+def test_tail_radii_are_numpys_geomspace(monkeypatch):
+    # series_tail_bound builds its radii by np.geomspace's own steps; they
+    # must be the same doubles for tops from each branch of the grid cap
+    seen = []
+
+    def recording(alpha_abs, r):
+        seen.append(r.copy())
+        return _factor_weight(alpha_abs, r)
+
+    monkeypatch.setattr("hankellift.blaschke._factor_weight", recording)
+    rng = np.random.default_rng(5)
+    cases = [(1.0 / t, 64) for t in rng.uniform(1.0, 1e4, 1500)]  # top just below t
+    cases += [(rho, 64) for rho in rng.uniform(1e-4, 0.95, 1500)]  # top = (1/rho)(1 - 1e-9)
+    cases += [(1e-9, n) for n in range(0, 5000, 2)]  # top = 10^(300/(n+1)) from n = 33
+    for rho, n in cases:
+        seen.clear()
+        series_tail_bound([rho], n)
+        top = min((1.0 / rho) * (1.0 - 1e-9), 10.0 ** (300.0 / (n + 1)))
+        assert np.array_equal(seen[0], np.geomspace(1.0 + 1e-6, top, TAIL_GRID)), (rho, n)
+
+
 def test_reflection_gcd_detects_conjugate_pairs():
     no_pair = make_blaschke([0.3 + 0.2j, -0.1 + 0.5j])
     assert gcd_inner(no_pair, conj_reflect(no_pair)).degree == 0

@@ -1,8 +1,11 @@
 import cmath
 
 import numpy as np
+import pytest
 
+from hankellift import intertwine
 from hankellift.blaschke import (
+    DELTA_MIN,
     conj_reflect,
     make_blaschke,
     monomial,
@@ -196,8 +199,81 @@ def test_gcd_solution_is_nonzero_and_in_span():
     for seed in (2, 5):
         u = random_blaschke(seed, max_degree=5, radius=0.7, plant_pair=True)
         rep = solve_intertwiner_space(u, 64)
-        assert rep.lift_check.norm_x > 1e-6
+        assert rep.norm_x > 1e-6
         assert rep.gcd_solution_residual <= 1e-8
+
+
+EPS = np.finfo(float).eps
+
+# three conjugate pairs and six free zeros in |z| <= 0.6, none the conjugate
+# of another: the shape of the benchmark's high-degree products
+DEGREE_12 = [
+    0.3 + 0.4j, 0.3 - 0.4j, -0.5 + 0.2j, -0.5 - 0.2j, 0.1 + 0.55j, 0.1 - 0.55j,
+    0.5 + 0.25j, -0.3 + 0.35j, -0.1 - 0.45j, 0.35 - 0.2j, 0.05 + 0.15j, -0.55 - 0.1j,
+]
+
+
+def planted_products():
+    """Criterion-1 draws with theta != 1, a triple zero, a pair at the edge of the disk, degree 12."""
+    draws = (random_blaschke(1000 + i, max_degree=5, radius=0.8) for i in range(50))
+    edge = (1 - DELTA_MIN - 1e-7) * cmath.exp(1.95j)  # the basis doubles to order 1024
+    return [u for u in draws if gcd_symbol_theta(u).degree > 0] + [
+        make_blaschke([0.5] * 3),
+        make_blaschke([edge, edge.conjugate()]),
+        make_blaschke(DEGREE_12),
+    ]
+
+
+def test_norm_h_taken_on_the_model_rows_is_the_section_norm():
+    # theta | u and Kronecker's theorem put the range of H_phi in K_theta,
+    # inside Q_u, so the section's columns lie in span B and ||B* H_phi||
+    # is its norm; the range residual is the rounding of length-(n+1) sums
+    for u in planted_products():
+        rep = solve_intertwiner_space(u, 64)
+        basis = tm_basis(u, 64)
+        n, b = basis.order, basis.columns
+        phi = lifting_symbol(u, 2 * n)
+        h = hankel_matrix(phi, n)
+        norm_h = operator_norm(h)
+        assert abs(rep.norm_h - norm_h) <= 8 * EPS * norm_h, u.text()
+        assert operator_norm(h - b @ (b.conj().T @ h)) <= np.sqrt(n + 1) * EPS * norm_h, u.text()
+        assert np.array_equal(rep.x, intertwiner_from_symbol(basis, phi))
+        assert rep.norm_x == operator_norm(rep.x)
+
+
+def test_range_identity_fails_for_the_hilbert_symbol():
+    # the section of an arbitrary symbol has columns off Q_u, which is why
+    # verify_block_lift takes the norm of the full section
+    for u in (make_blaschke([0.5j, -0.5j]), planted_products()[0]):
+        basis = tm_basis(u, 64)
+        n, b = basis.order, basis.columns
+        h = hankel_matrix(materialize(hilbert_generator(), 2 * n), n)
+        assert operator_norm(h - b @ (b.conj().T @ h)) > 0.1 * operator_norm(h)
+
+
+def test_planted_solve_decomposes_no_section_sized_matrix(monkeypatch):
+    # the solve's SVDs are the Kronecker system's and those of matrices with
+    # deg u rows; wrapped here at the bindings intertwine calls
+    shapes = {"operator_norm": [], "null_space": []}
+
+    def recording(name):
+        inner = getattr(intertwine, name)
+
+        def wrapped(m, *args, **kwargs):
+            shapes[name].append(np.shape(m))
+            return inner(m, *args, **kwargs)
+
+        return wrapped
+
+    for name in shapes:
+        monkeypatch.setattr(intertwine, name, recording(name))
+    monkeypatch.setattr(intertwine, "verify_block_lift", lambda *a: pytest.fail("verify_block_lift called"))
+    u = random_blaschke(2, max_degree=5, radius=0.7, plant_pair=True)
+    rep = solve_intertwiner_space(u, 64)
+    d = u.degree
+    assert rep.theta.degree > 0 and rep.norm_h > 0.0
+    assert shapes["null_space"] == [(d * d, d * d)]
+    assert shapes["operator_norm"] and all(min(shape) <= d for shape in shapes["operator_norm"])
 
 
 def test_block_lift_monomial_shift_symbol():
